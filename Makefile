@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint lint-baseline lint-fix-check bench bench-engine bench-smoke fuzz hunt hunt-smoke replay-smoke suite serve serve-test serve-bench clean
+.PHONY: build test verify lint lint-baseline lint-fix-check bench bench-engine bench-smoke fuzz hunt hunt-smoke replay-smoke perfbench-test suite serve serve-test serve-bench clean
 
 # The rrlint baseline: accepted pre-existing findings (currently hotalloc
 # debt in the comparison policies), subtracted from lint runs so only new
@@ -19,9 +19,15 @@ test:
 # differential harness and the rrserve stress wall all run work
 # concurrently, so -race is load-bearing. serve-test is part of
 # `go test ./...` already; listing it keeps the race-mode service wall
-# explicit in the verify contract.
-verify: serve-test
+# explicit in the verify contract. perfbench-test runs the benchmark
+# module's own tests, which `go test ./...` at the root does not reach.
+verify: serve-test perfbench-test
 	$(GO) vet ./... && $(GO) run ./cmd/rrlint -baseline $(LINT_BASELINE) && $(GO) test -race ./...
+
+# The benchmark harness (perfbench/, run by perfbench/run.sh) is its own
+# module: its tests — metric names, output checks, the tracer — run here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Project-specific static analysis (DESIGN.md "Static analysis layer"):
 # determinism, cancellation, float-safety, ownership and zero-alloc
@@ -59,13 +65,17 @@ serve-bench:
 # fuzzing of the rrserve request surface (decoder + spec parser), fuzzing
 # of the hunt shrinker's contract (validity + ratio window), and fuzzing of
 # the lint IR builder (CFG/def-use construction must be total over
-# arbitrary syntax). FUZZTIME=5m make fuzz for longer campaigns.
+# arbitrary syntax), and of the trace decoder: totality and round trip
+# (FuzzTraceDecode) and the byte-level line parsers against their
+# encoding/json and strings.Split oracles (FuzzDecodeLine).
+# FUZZTIME=5m make fuzz for longer campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzEngineAgreement -fuzztime=$(FUZZTIME) ./internal/check
 	$(GO) test -fuzz=FuzzSimulateRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -fuzz=FuzzShrinker -fuzztime=$(FUZZTIME) ./internal/hunt
 	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -fuzz=FuzzDecodeLine -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzLintIR -fuzztime=$(FUZZTIME) ./internal/lint
 
 # Adversarial ratio hunt (see DESIGN.md §14). `make hunt` runs the default
@@ -124,9 +134,11 @@ bench-engine:
 # plus a 100-iteration pass over the workspace grid (-short skips the
 # n=1e6 cells the ratchet already covers) and the observers-vs-segments
 # comparison so allocs/op regressions surface in the job log without a
-# full bench run.
+# full bench run. TestDecodeAllocBudget holds the trace decoder at 0
+# allocs/job (the same constant count at n=1e3 and n=1e4, NDJSON and CSV).
 bench-smoke:
 	$(GO) test -run 'TestEngineAllocBudget|TestObserverAllocBudget|TestBenchSmokeRatchet' -v .
+	$(GO) test -run 'TestDecodeAllocBudget' -v ./internal/trace
 	$(GO) test -run xxx -short -bench 'BenchmarkEngineWorkspaceGrid|BenchmarkEngineRR$$|BenchmarkEngineFastVsReference|BenchmarkObserverVsSegments' -benchtime=100x -benchmem .
 
 # Regenerate the experiment suite into results/.

@@ -3,10 +3,10 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,15 +21,21 @@ import (
 // 1e8-job trace replays in memory bounded by the schedule's alive set, and
 // strictly validated: every malformed line is rejected with a DecodeError
 // naming the line, the field and the reason rather than a best-effort skip.
+// Each line is parsed in place in the scanner's buffer, so the streaming
+// path makes no allocation per job.
 
 // Format selects a job-trace wire format.
 type Format uint8
 
 const (
 	// FormatNDJSON is newline-delimited JSON: one object per line with
-	// fields "id" (int, required), "release" (float, required), "size"
-	// (float, required) and "weight" (float, optional; 0 or absent means
-	// the default weight 1). Unknown fields are rejected.
+	// keys "id" (integer, required), "release" (number, required), "size"
+	// (number, required) and "weight" (number, optional; 0 or absent means
+	// the default weight 1). Keys are exactly these four lowercase names,
+	// unescaped, each at most once; a null value reads as absent; only
+	// JSON whitespace may separate tokens. Anything else — an unknown,
+	// case-folded, escaped or repeated key, a non-number value, bytes
+	// after the object — is rejected.
 	FormatNDJSON Format = iota
 	// FormatCSV is comma-separated with a mandatory header row naming a
 	// permutation of id,release,size[,weight]; fields are trimmed of
@@ -97,6 +103,24 @@ type DecodeOptions struct {
 // size tracks how many such ids the trace actually uses.
 const maxBitsetID = 1 << 24
 
+// minSeenWords is the bitset's first allocation (8 KiB, ids below 65536);
+// it doubles from there, so a trace's id bookkeeping costs O(log max id)
+// allocations in all and none per job.
+const minSeenWords = 1024
+
+// field names one trace column.
+type field uint8
+
+const (
+	fieldID field = iota
+	fieldRelease
+	fieldSize
+	fieldWeight
+)
+
+// fieldNames are the column and key names, indexed by field.
+var fieldNames = [...]string{"id", "release", "size", "weight"}
+
 // Decoder reads a job trace line by line, implementing core.JobSource. It
 // enforces the full JobSource contract at the source: scalar validity
 // (Instance.Validate's rules), unique ids, and release monotonicity (or
@@ -107,7 +131,7 @@ type Decoder struct {
 	sc   *bufio.Scanner
 	line int // 1-based number of the last line read
 
-	cols   []string // CSV: column names in header order
+	cols   []field  // CSV: columns in header order
 	seen   []uint64 // dense id bitset for ids in [0, maxBitsetID)
 	sparse map[int]bool
 
@@ -133,6 +157,8 @@ func NewDecoder(r io.Reader, opts DecodeOptions) *Decoder {
 }
 
 // Next implements core.JobSource.
+//
+//rrlint:hotpath
 func (d *Decoder) Next() (core.Job, bool, error) {
 	if d.err != nil || d.done {
 		return core.Job{}, false, d.err
@@ -162,9 +188,9 @@ func (d *Decoder) Next() (core.Job, bool, error) {
 		return core.Job{}, false, nil
 	}
 	if d.any && j.Release < d.prevRelease {
-		d.err = &DecodeError{Line: d.line, Field: "release", Reason: fmt.Sprintf(
+		d.err = d.errorf("release",
 			"release %v is earlier than release %v on line %d (trace must be release-ordered; opt into buffering with Sort / rrsim -sort)",
-			j.Release, d.prevRelease, d.prevLine)}
+			j.Release, d.prevRelease, d.prevLine)
 		return core.Job{}, false, d.err
 	}
 	d.any, d.prevRelease, d.prevLine = true, j.Release, d.line
@@ -213,24 +239,24 @@ func (d *Decoder) next() (core.Job, bool, error) {
 		if len(raw) == 0 || raw[0] == '#' {
 			continue
 		}
-		if d.opts.Format == FormatCSV && d.cols == nil {
+		var j core.Job
+		var err *DecodeError
+		switch {
+		case d.opts.Format != FormatCSV:
+			j, err = d.parseNDJSON(raw)
+		case d.cols == nil:
 			if err := d.parseHeader(string(raw)); err != nil {
 				return core.Job{}, false, err
 			}
 			continue
+		default:
+			j, err = d.parseCSV(raw)
 		}
-		var j core.Job
-		var err error
-		if d.opts.Format == FormatCSV {
-			j, err = d.parseCSV(string(raw))
-		} else {
-			j, err = d.parseNDJSON(raw)
+		if err == nil {
+			err = d.checkJob(j)
 		}
 		if err != nil {
 			return core.Job{}, false, err
-		}
-		if derr := d.checkJob(j); derr != nil {
-			return core.Job{}, false, derr
 		}
 		return j, true, nil
 	}
@@ -240,16 +266,16 @@ func (d *Decoder) next() (core.Job, bool, error) {
 // rule, pinned to the current line.
 func (d *Decoder) checkJob(j core.Job) *DecodeError {
 	if !(j.Size >= 0) || math.IsInf(j.Size, 0) {
-		return &DecodeError{Line: d.line, Field: "size", Reason: fmt.Sprintf("negative or non-finite size %v", j.Size)}
+		return d.errorf("size", "negative or non-finite size %v", j.Size)
 	}
 	if j.Release < 0 || math.IsInf(j.Release, 0) || math.IsNaN(j.Release) {
-		return &DecodeError{Line: d.line, Field: "release", Reason: fmt.Sprintf("invalid release %v", j.Release)}
+		return d.errorf("release", "invalid release %v", j.Release)
 	}
 	if j.Weight < 0 || math.IsInf(j.Weight, 0) || math.IsNaN(j.Weight) {
-		return &DecodeError{Line: d.line, Field: "weight", Reason: fmt.Sprintf("invalid weight %v", j.Weight)}
+		return d.errorf("weight", "invalid weight %v", j.Weight)
 	}
 	if d.markID(j.ID) {
-		return &DecodeError{Line: d.line, Field: "id", Reason: fmt.Sprintf("duplicate job id %d", j.ID)}
+		return d.errorf("id", "duplicate job id %d", j.ID)
 	}
 	return nil
 }
@@ -259,8 +285,8 @@ func (d *Decoder) checkJob(j core.Job) *DecodeError {
 func (d *Decoder) markID(id int) bool {
 	if id >= 0 && id < maxBitsetID {
 		w, b := id/64, uint(id%64)
-		for len(d.seen) <= w {
-			d.seen = append(d.seen, 0)
+		if w >= len(d.seen) {
+			d.growSeen(w)
 		}
 		if d.seen[w]&(1<<b) != 0 {
 			return true
@@ -279,41 +305,183 @@ func (d *Decoder) markID(id int) bool {
 	return false
 }
 
-// ndRecord mirrors one NDJSON line; pointer fields distinguish absent from
-// zero so required fields can be enforced.
-type ndRecord struct {
-	ID      *int     `json:"id"`
-	Release *float64 `json:"release"`
-	Size    *float64 `json:"size"`
-	Weight  *float64 `json:"weight"`
+// growSeen extends the id bitset to cover word w, at least doubling it.
+//
+//rrlint:coldpath amortized growth: O(log max id) calls per trace, none per job in steady state
+func (d *Decoder) growSeen(w int) {
+	s := make([]uint64, max(w+1, 2*len(d.seen), minSeenWords))
+	copy(s, d.seen)
+	d.seen = s
 }
 
-func (d *Decoder) parseNDJSON(raw []byte) (core.Job, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var rec ndRecord
-	if err := dec.Decode(&rec); err != nil {
-		return core.Job{}, &DecodeError{Line: d.line, Reason: "invalid JSON: " + err.Error()}
+// litNull is the JSON null literal.
+var litNull = []byte("null")
+
+// parseNDJSON decodes one trimmed NDJSON line in place (FormatNDJSON's
+// grammar). Numbers are checked against the JSON number grammar here and
+// converted by the strconv calls encoding/json makes for int and float64
+// fields, so a line decodes to the bits encoding/json would give it. Every
+// grammar violation is a whole-line "invalid JSON" error; a well-formed
+// line missing a required key names that field.
+func (d *Decoder) parseNDJSON(b []byte) (core.Job, *DecodeError) {
+	var j core.Job
+	var seen, set uint8 // bit f: key f present / present and not null
+	i := skipWS(b, 0)
+	switch {
+	case bytes.HasPrefix(b[i:], litNull):
+		// encoding/json unmarshals a top-level null into a struct as a
+		// no-op; the line reads as an object with no keys.
+		i += len(litNull)
+	case i < len(b) && b[i] == '{':
+		i = skipWS(b, i+1)
+		if i < len(b) && b[i] == '}' {
+			i++
+			break
+		}
+		for {
+			if i >= len(b) || b[i] != '"' {
+				return j, d.syntaxErr(b, i, "want a quoted key")
+			}
+			k := i + 1
+			for k < len(b) && b[k] != '"' && b[k] != '\\' {
+				k++
+			}
+			if k >= len(b) || b[k] == '\\' {
+				return j, d.syntaxErr(b, i, "want an unescaped key")
+			}
+			f, ok := lookupKey(b[i+1 : k])
+			if !ok {
+				return j, d.errorf("", "invalid JSON: unknown key %q (keys are id, release, size and weight)", b[i+1:k])
+			}
+			if seen&(1<<f) != 0 {
+				return j, d.errorf("", "invalid JSON: duplicate key %q", b[i+1:k])
+			}
+			seen |= 1 << f
+			i = skipWS(b, k+1)
+			if i >= len(b) || b[i] != ':' {
+				return j, d.syntaxErr(b, i, "want ':' after key")
+			}
+			i = skipWS(b, i+1)
+			if bytes.HasPrefix(b[i:], litNull) {
+				i += len(litNull)
+			} else {
+				end := scanNumber(b, i)
+				if end < 0 {
+					return j, d.syntaxErr(b, i, "want a number or null")
+				}
+				if !setField(&j, f, b[i:end]) {
+					return j, d.errorf("", "invalid JSON: %s value %s does not convert (id must be an int, the others float64)", fieldNames[f], b[i:end])
+				}
+				set |= 1 << f
+				i = end
+			}
+			i = skipWS(b, i)
+			if i < len(b) && b[i] == ',' {
+				i = skipWS(b, i+1)
+				continue
+			}
+			if i < len(b) && b[i] == '}' {
+				i++
+				break
+			}
+			return j, d.syntaxErr(b, i, "want ',' or '}'")
+		}
+	default:
+		return j, d.syntaxErr(b, i, "want an object")
 	}
 	// Trailing tokens after the object ("{...} {...}" on one line) would
 	// silently drop jobs if ignored.
-	if dec.More() {
-		return core.Job{}, &DecodeError{Line: d.line, Reason: "trailing data after JSON object"}
+	if skipWS(b, i) != len(b) {
+		return j, d.errorf("", "trailing data after JSON object")
 	}
-	if rec.ID == nil {
-		return core.Job{}, &DecodeError{Line: d.line, Field: "id", Reason: "missing required field"}
-	}
-	if rec.Release == nil {
-		return core.Job{}, &DecodeError{Line: d.line, Field: "release", Reason: "missing required field"}
-	}
-	if rec.Size == nil {
-		return core.Job{}, &DecodeError{Line: d.line, Field: "size", Reason: "missing required field"}
-	}
-	j := core.Job{ID: *rec.ID, Release: *rec.Release, Size: *rec.Size}
-	if rec.Weight != nil {
-		j.Weight = *rec.Weight
+	for _, f := range [...]field{fieldID, fieldRelease, fieldSize} {
+		if set&(1<<f) == 0 {
+			return j, d.errorf(fieldNames[f], "missing required field")
+		}
 	}
 	return j, nil
+}
+
+// skipWS returns the index of the first non-JSON-whitespace byte of b at
+// or after i.
+func skipWS(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// lookupKey maps a raw NDJSON key to its field; only the exact lowercase
+// names match.
+func lookupKey(k []byte) (field, bool) {
+	for f, name := range fieldNames {
+		if string(k) == name {
+			return field(f), true
+		}
+	}
+	return 0, false
+}
+
+// scanNumber returns the end of the JSON number starting at b[i] —
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? (RFC 8259 §6) — or -1
+// when none starts there. It stops at the first byte the grammar cannot
+// take; the caller checks what follows.
+func scanNumber(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = skipDigits(b, i+1); b[i-1] == '.' {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		start := i
+		if i = skipDigits(b, i); i == start {
+			return -1
+		}
+	}
+	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// setField stores the number literal lit into field f of j, reporting
+// false when it does not convert (an id that is not an integer in int's
+// range, a float beyond float64's range).
+func setField(j *core.Job, f field, lit []byte) bool {
+	if f == fieldID {
+		id, err := strconv.Atoi(string(lit))
+		j.ID = id
+		return err == nil
+	}
+	x, err := strconv.ParseFloat(string(lit), 64)
+	switch f {
+	case fieldRelease:
+		j.Release = x
+	case fieldSize:
+		j.Size = x
+	case fieldWeight:
+		j.Weight = x
+	}
+	return err == nil
 }
 
 // parseHeader validates the CSV header: a permutation of id,release,size
@@ -321,104 +489,70 @@ func (d *Decoder) parseNDJSON(raw []byte) (core.Job, error) {
 //
 //rrlint:coldpath runs once per trace, on the header line only
 func (d *Decoder) parseHeader(line string) error {
-	cols := strings.Split(line, ",")
-	need := map[string]bool{"id": false, "release": false, "size": false}
-	for i := range cols {
-		c := strings.ToLower(strings.TrimSpace(cols[i]))
-		cols[i] = c
-		switch c {
-		case "id", "release", "size", "weight":
-		default:
-			return &DecodeError{Line: d.line, Field: c, Reason: "unknown column (want id,release,size[,weight])"}
+	names := strings.Split(line, ",")
+	cols := make([]field, len(names))
+	var have uint8
+	for i := range names {
+		c := strings.ToLower(strings.TrimSpace(names[i]))
+		f := slices.Index(fieldNames[:], c)
+		if f < 0 {
+			return d.errorf(c, "unknown column (want id,release,size[,weight])")
 		}
-		for k := 0; k < i; k++ {
-			if cols[k] == c {
-				return &DecodeError{Line: d.line, Field: c, Reason: "duplicate column"}
-			}
+		if have&(1<<f) != 0 {
+			return d.errorf(c, "duplicate column")
 		}
-		if _, req := need[c]; req {
-			need[c] = true
-		}
+		have |= 1 << f
+		cols[i] = field(f)
 	}
-	for _, c := range []string{"id", "release", "size"} {
-		if !need[c] {
-			return &DecodeError{Line: d.line, Field: c, Reason: "missing required column"}
+	for _, f := range [...]field{fieldID, fieldRelease, fieldSize} {
+		if have&(1<<f) == 0 {
+			return d.errorf(fieldNames[f], "missing required column")
 		}
 	}
 	d.cols = cols
 	return nil
 }
 
-func (d *Decoder) parseCSV(line string) (core.Job, error) {
-	fields := strings.Split(line, ",")
-	if len(fields) != len(d.cols) {
-		return core.Job{}, &DecodeError{Line: d.line, Reason: fmt.Sprintf("%d fields, header has %d columns", len(fields), len(d.cols))}
-	}
+// commaSep is the CSV field separator.
+var commaSep = []byte{','}
+
+// parseCSV decodes one trimmed CSV data line in place against the header's
+// column order.
+func (d *Decoder) parseCSV(line []byte) (core.Job, *DecodeError) {
 	var j core.Job
-	for i, col := range d.cols {
-		v := strings.TrimSpace(fields[i])
-		switch col {
-		case "id":
-			id, err := strconv.Atoi(v)
-			if err != nil {
-				return core.Job{}, &DecodeError{Line: d.line, Field: "id", Reason: fmt.Sprintf("invalid integer %q", v)}
+	if n := bytes.Count(line, commaSep) + 1; n != len(d.cols) {
+		return j, d.errorf("", "%d fields, header has %d columns", n, len(d.cols))
+	}
+	rest := line
+	for _, f := range d.cols {
+		v := rest
+		if k := bytes.IndexByte(rest, ','); k >= 0 {
+			v, rest = rest[:k], rest[k+1:]
+		}
+		if v = bytes.TrimSpace(v); !setField(&j, f, v) {
+			kind := "number"
+			if f == fieldID {
+				kind = "integer"
 			}
-			j.ID = id
-		default:
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return core.Job{}, &DecodeError{Line: d.line, Field: col, Reason: fmt.Sprintf("invalid number %q", v)}
-			}
-			switch col {
-			case "release":
-				j.Release = f
-			case "size":
-				j.Size = f
-			case "weight":
-				j.Weight = f
-			}
+			return j, d.errorf(fieldNames[f], "invalid %s %q", kind, v)
 		}
 	}
 	return j, nil
 }
 
-// Encode writes jobs as a job trace in the given format — the inverse of
-// Decoder, used to export instances as replayable fixtures. Floats are
-// written in shortest round-trip form, so decode(encode(jobs)) yields jobs
-// bit for bit (the round-trip identity FuzzTraceDecode pins). Jobs are
-// written in the order given; encode a normalized instance to produce a
-// release-ordered trace.
-func Encode(w io.Writer, jobs []core.Job, f Format) error {
-	bw := bufio.NewWriter(w)
-	if f == FormatCSV {
-		if _, err := bw.WriteString("id,release,size,weight\n"); err != nil {
-			return err
-		}
-		for _, j := range jobs {
-			bw.WriteString(strconv.Itoa(j.ID))
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(j.Release, 'g', -1, 64))
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(j.Size, 'g', -1, 64))
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(j.Weight, 'g', -1, 64))
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
-	}
-	enc := json.NewEncoder(bw)
-	for _, j := range jobs {
-		rec := struct {
-			ID      int     `json:"id"`
-			Release float64 `json:"release"`
-			Size    float64 `json:"size"`
-			Weight  float64 `json:"weight,omitempty"`
-		}{j.ID, j.Release, j.Size, j.Weight}
-		if err := enc.Encode(&rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+// errorf builds the DecodeError for the current line, naming field name
+// ("" for the whole line). Formatting allocates, so every error the
+// streaming path returns is built here, off the hot path.
+//
+//rrlint:coldpath decode failure; a DecodeError ends the replay
+func (d *Decoder) errorf(name, format string, args ...any) *DecodeError {
+	return &DecodeError{Line: d.line, Field: name, Reason: fmt.Sprintf(format, args...)}
+}
+
+// syntaxErr is the "invalid JSON" error for a line b that breaks the
+// grammar at byte at, where want was expected.
+//
+//rrlint:coldpath decode failure; a DecodeError ends the replay
+func (d *Decoder) syntaxErr(b []byte, at int, want string) *DecodeError {
+	return d.errorf("", "invalid JSON: %s at byte %d of %d, near %q", want, at+1, len(b), b[at:min(at+16, len(b))])
 }

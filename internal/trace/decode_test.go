@@ -141,6 +141,41 @@ func TestDecodeMalformed(t *testing.T) {
 			line: 1, frag: "trailing data",
 		},
 		{
+			name: "trailing brace",
+			in:   `{"id":0,"release":0,"size":1} }`,
+			line: 1, frag: "trailing data",
+		},
+		{
+			name: "trailing bracket",
+			in:   `{"id":0,"release":0,"size":1}]`,
+			line: 1, frag: "trailing data",
+		},
+		{
+			name: "duplicate key",
+			in:   `{"id":0,"id":5,"release":0,"size":1}`,
+			line: 1, frag: "invalid JSON: duplicate key",
+		},
+		{
+			name: "case-folded key",
+			in:   `{"ID":0,"release":0,"size":1}`,
+			line: 1, frag: "invalid JSON: unknown key",
+		},
+		{
+			name: "escaped key",
+			in:   `{"\u0069d":0,"release":0,"size":1}`,
+			line: 1, frag: "invalid JSON",
+		},
+		{
+			name: "fractional id",
+			in:   `{"id":1.0,"release":0,"size":1}`,
+			line: 1, frag: "invalid JSON",
+		},
+		{
+			name: "null required field",
+			in:   `{"id":0,"release":null,"size":1}`,
+			line: 1, field: "release", frag: "missing required field",
+		},
+		{
 			name: "not json",
 			in:   "hello world",
 			line: 1, frag: "invalid JSON",
