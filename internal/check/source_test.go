@@ -43,7 +43,7 @@ func (o *wallObs) ObserveArrival(t float64, job int, j core.Job) {
 }
 
 func (o *wallObs) ObserveEpoch(e *Epoch) {
-	o.eps = append(o.eps, core.Epoch{Start: e.Start, End: e.End, Alive: e.Alive, RateSum: e.RateSum})
+	o.eps = append(o.eps, core.Epoch{Start: e.Start, End: e.End, Alive: e.Alive, RateSum: e.RateSum, Coarse: e.Coarse})
 }
 
 func (o *wallObs) ObserveCompletion(t float64, job int, flow float64) {

@@ -9,8 +9,8 @@ import (
 // stack-local value rather than closures so that workspace-reuse runs stay
 // allocation-free (captured-variable closures escape to the heap). Exactly
 // one of res (materialized sink) and sum (streaming sink) is non-nil;
-// arrivals come from the cursor either way, so the stepped loop and the
-// batched streaming loop execute the same admissions byte for byte.
+// arrivals come from the cursor either way, so materialized and streaming
+// runs execute the same admissions byte for byte.
 type rrRun struct {
 	cur   *core.Cursor
 	res   *core.Result
@@ -66,21 +66,14 @@ func (r *rrRun) complete() {
 }
 
 // epoch emits the rate-constant interval [r.now, end) to the observer.
-// Under RR every alive job shares min(1, m/alive) of a machine, so the
-// pre-speed rate sum is min(alive, m); on uniform machines it is
-// alive·FairShare(alive) (env.RRSum).
 func (r *rrRun) epoch(end float64) {
 	alive := r.h.Len()
-	var rs float64
-	if r.hetero {
-		rs = r.env.RRSum(alive)
-	} else {
-		rs = identicalRateSum(alive, r.m)
-	}
-	emitEpoch(r.obs, r.ep, r.now, end, alive, rs)
+	emitEpoch(r.obs, r.ep, r.now, end, alive, r.rateSum(alive))
 }
 
-// rateSum is the epoch helper for the coarse/batched paths.
+// rateSum is the pre-speed rate sum of alive RR jobs. Under RR every alive
+// job shares min(1, m/alive) of a machine, so the sum is min(alive, m); on
+// uniform machines it is alive·FairShare(alive) (env.RRSum).
 func (r *rrRun) rateSum(alive int) float64 {
 	if r.hetero {
 		return r.env.RRSum(alive)
@@ -100,329 +93,20 @@ func (r *rrRun) rateSum(alive int) float64 {
 // costs O(log alive) instead of the reference engine's O(n_t) rate
 // recomputation.
 //
-// Three loops implement that sweep, all producing byte-identical output
-// (same floating-point expressions, same event counting, same heap total
-// order — the pop sequence of a min-heap under a strict total order is
-// layout-independent):
-//
-//   - runRRStepped (rr_stepped.go): one iteration per event, the
-//     pre-bulk-advance baseline, selected by SetSteppedAdvance;
-//   - rrMat.run: the batched materialized path — bulk-advance drain over a
-//     queue.PairHeap with columnar SoA side arrays, iterating the
-//     normalized job slice directly (no cursor);
-//   - runRRStream: the batched streaming path — the same drain structure
-//     over the payload-carrying JobHeap, pulling arrivals from the cursor
-//     with O(alive) memory.
-//
-// The heap orders by (target, sequence number); on the materialized path
-// sequence numbers equal normalized indices, so simultaneous completions
-// drain in exactly the order the old index-keyed heap produced.
-func runRR(r *rrRun, opts core.Options, s *scratch) error {
-	if steppedAdvance.Load() {
-		return runRRStepped(r, opts)
-	}
-	if r.res != nil {
-		return runRRMat(r, opts, s)
-	}
-	return runRRStream(r, opts, s)
-}
-
-// rrMat is the batched materialized RR sweep: per-job state lives in
-// columnar structure-of-arrays form — the completion target inside the
-// 16-byte (key, id) PairHeap items (remaining work is target−V), and the
-// interleaved {release, tolerance} column on the scratch, indexed by the
-// normalized job index — so the drain loop touches flat float64 pairs
-// instead of 32-byte Job structs. Methods on a struct, not closures, for
-// the same no-escape/no-alloc reason as rrRun.
-type rrMat struct {
-	res   *core.Result
-	jobs  []core.Job
-	h     *queue.PairHeap
-	rt    [][2]float64 // {release, core.CompletionTol} column, written at admission, read at completion
-	ratio *[rateTabSize]float64
-	i     int // next arrival: index into jobs == sequence number
-	now   float64
-	V     float64
-	m     int
-	speed float64
-
-	// shares/env/hetero are the heterogeneous-model rate source: under
-	// explicit machine speeds rate = speed·shares[alive] for every alive
-	// count (table entries are exactly env.FairShare bits; counts beyond the
-	// table fall back to the inline call). nil/false on the default model,
-	// whose expressions below are untouched.
-	shares *[rateTabSize]float64
-	env    *core.MachineEnv
-	hetero bool
-
-	obs core.Observer
-	ep  *core.Epoch
-}
-
-// rateSum is the epoch rate-sum helper (identical min(alive, m) or the
-// generalized alive·FairShare(alive)).
-func (r *rrMat) rateSum(alive int) float64 {
-	if r.hetero {
-		return r.env.RRSum(alive)
-	}
-	return identicalRateSum(alive, r.m)
-}
-
-// finish records one completion into the materialized result.
-func (r *rrMat) finish(seq int, release, t float64) {
-	flow := t - release
-	r.res.Completion[seq] = t
-	r.res.Flow[seq] = flow
-	if r.obs != nil {
-		r.obs.ObserveCompletion(t, seq, flow)
-	}
-}
-
-// admit moves all jobs released by now into the heap, filling the SoA
-// columns; degenerate jobs complete at admission, as in rrRun.admit.
-func (r *rrMat) admit() {
-	jobs := r.jobs
-	for r.i < len(jobs) && jobs[r.i].Release <= r.now {
-		seq := r.i
-		j := jobs[seq]
-		r.i++
-		if r.obs != nil {
-			r.obs.ObserveArrival(r.now, seq, j)
-		}
-		tolJ := core.CompletionTol(j.Size)
-		if j.Size <= tolJ {
-			r.finish(seq, j.Release, r.now)
-			continue
-		}
-		r.rt[seq] = [2]float64{j.Release, tolJ}
-		r.h.Push(seq, r.V+j.Size)
-	}
-}
-
-// complete pops every job within completion tolerance of the current fair
-// share, exactly as rrRun.complete.
-func (r *rrMat) complete() {
-	h := r.h
-	for h.Len() > 0 {
-		id, key := h.Min()
-		if key-r.V > r.rt[id][1] {
-			return
-		}
-		h.PopMin()
-		r.finish(id, r.rt[id][0], r.now)
-	}
-}
-
-// run is the bulk-advance event loop: an outer sweep over arrival groups
-// and idle gaps with an inner drain that pops the whole run of jobs
-// completing before the next arrival in one pass over the heap, stamping
+// One bulk-advance loop serves materialized and streaming runs alike: an
+// outer sweep over arrival groups and idle gaps with an inner drain that
+// pops the whole run of jobs completing before the next arrival, stamping
 // completion times analytically (V lands exactly on each popped target).
-// Event counting, context polling, floating-point expressions and exact
-// epoch emission replicate runRRStepped precisely — the property wall in
-// internal/check holds the two byte-identical. When every attached
-// observer tolerates coarse epochs the loop instead emits one aggregate
-// Epoch per maximal busy interval (Coarse == true), dropping the
-// per-event observer dispatch from the drain.
+// Arrivals come from the cursor (one-job lookahead, O(alive) memory) and
+// the next arrival time is hoisted per drain — the cursor cannot change
+// while completions pop. The heap orders by (target, sequence number); on
+// the materialized path sequence numbers equal normalized indices, so
+// simultaneous completions drain in normalized order. When every attached
+// observer tolerates coarse epochs the loop emits one aggregate Epoch per
+// maximal busy interval (Coarse == true) instead of one per event.
 //
 //rrlint:hotpath
-func (r *rrMat) run(opts core.Options) error {
-	jobs := r.jobs
-	n := len(jobs)
-	r.now = jobs[0].Release
-	r.admit()
-	r.complete()
-	events := 1
-	h := r.h
-	m, speed := r.m, r.speed
-	ratio := r.ratio
-	hetero, shares := r.hetero, r.shares
-	rt := r.rt
-	res, obs := r.res, r.obs
-	exact := r.obs != nil && !core.ObserverCoarseEpochsOK(r.obs)
-	coarse := r.obs != nil && !exact
-	var batchStart float64
-	var batchAlive int
-	if coarse {
-		batchStart, batchAlive = r.now, h.Len()
-	}
-	for {
-		hasA := r.i < n
-		var tA float64
-		if hasA {
-			tA = jobs[r.i].Release
-		}
-		// Drain: completion events, interleaved with the arrivals that
-		// beat them, until the heap empties.
-		for h.Len() > 0 {
-			alive := h.Len()
-			// rate = speed · min(1, m/alive); the m/alive quotient comes
-			// from the scratch's bit-exact table (see rateRatios) — a load
-			// in place of a hardware divide on the critical path. Under a
-			// heterogeneous model the share table generalizes to
-			// env.FairShare(alive) for every alive count (see fairShares).
-			rate := speed
-			if hetero {
-				if alive < rateTabSize {
-					rate = speed * shares[alive]
-				} else {
-					rate = speed * r.env.FairShare(alive)
-				}
-			} else if alive > m {
-				if alive < rateTabSize {
-					rate *= ratio[alive]
-				} else {
-					rate *= float64(m) / float64(alive)
-				}
-			}
-			_, minKey := h.Min()
-			tC := r.now + (minKey-r.V)/rate
-			if tC < r.now {
-				tC = r.now // guard against cancellation in minKey−V
-			}
-			if hasA && tA < tC {
-				// Next event is an arrival: advance the fair share to it.
-				events++
-				if events&(ctxStride-1) == 0 {
-					if err := core.Canceled(opts.Context, r.now, events); err != nil {
-						return err
-					}
-				}
-				if exact {
-					emitEpoch(r.obs, r.ep, r.now, tA, alive, r.rateSum(alive))
-				}
-				r.V += (tA - r.now) * rate
-				r.now = tA
-				r.admit()
-				// Inlined complete(): the compiler declines both it and
-				// finish (inline budget), and this loop runs once per
-				// arrival — the call overhead alone is measurable at n=10⁷.
-				// Identical expressions, so the pop sequence and stamped
-				// times are bit-for-bit those of complete().
-				for h.Len() > 0 {
-					id, key := h.Min()
-					if key-r.V > rt[id][1] {
-						break
-					}
-					h.PopMin()
-					flow := r.now - rt[id][0]
-					res.Completion[id] = r.now
-					res.Flow[id] = flow
-					if obs != nil {
-						obs.ObserveCompletion(r.now, id, flow)
-					}
-				}
-				hasA = r.i < n
-				if hasA {
-					tA = jobs[r.i].Release
-				}
-				continue
-			}
-			// Next event is a completion: land V exactly on the target so
-			// simultaneous completions (identical targets) drain together.
-			events++
-			if events&(ctxStride-1) == 0 {
-				if err := core.Canceled(opts.Context, r.now, events); err != nil {
-					return err
-				}
-			}
-			if exact {
-				emitEpoch(r.obs, r.ep, r.now, tC, alive, r.rateSum(alive))
-			}
-			r.V = minKey
-			r.now = tC
-			// Inlined complete(): V landed exactly on minKey, so the top
-			// entry qualifies unconditionally (key−V = 0, tolerances are
-			// strictly positive) — pop first, then drain the rest of the
-			// simultaneous-completion group.
-			id, _ := h.PopMin()
-			flow := tC - rt[id][0]
-			res.Completion[id] = tC
-			res.Flow[id] = flow
-			if obs != nil {
-				obs.ObserveCompletion(tC, id, flow)
-			}
-			for h.Len() > 0 {
-				id, key := h.Min()
-				if key-minKey > rt[id][1] {
-					break
-				}
-				h.PopMin()
-				flow := tC - rt[id][0]
-				res.Completion[id] = tC
-				res.Flow[id] = flow
-				if obs != nil {
-					obs.ObserveCompletion(tC, id, flow)
-				}
-			}
-			if coarse && tC == batchStart { //rrlint:ignore floateq instant identity: tC and batchStart carry the same propagated bits, not approximations
-				// Zero-length completion at the interval's opening instant:
-				// refresh the snapshot (see the topm drain for the same rule).
-				batchAlive = h.Len()
-			}
-		}
-		// The heap is empty: the busy interval that began at batchStart
-		// ends here.
-		if coarse {
-			emitCoarseEpoch(r.obs, r.ep, batchStart, r.now, batchAlive, r.rateSum(batchAlive))
-		}
-		if !hasA {
-			break
-		}
-		// Idle gap: jump to the next arrival; V does not advance.
-		events++
-		if events&(ctxStride-1) == 0 {
-			if err := core.Canceled(opts.Context, r.now, events); err != nil {
-				return err
-			}
-		}
-		r.now = tA
-		r.admit()
-		r.complete()
-		if coarse {
-			batchStart, batchAlive = r.now, h.Len()
-		}
-	}
-	r.res.Events = events
-	return nil
-}
-
-// runRRMat prepares and runs the batched materialized sweep: the heap and
-// SoA columns come from the scratch (grown once, reused run after run), so
-// steady-state runs allocate nothing.
-func runRRMat(r *rrRun, opts core.Options, s *scratch) error {
-	n := len(r.res.Jobs)
-	if n == 0 {
-		return nil
-	}
-	s.rrPair.Reuse(0) // capacity tracks the peak alive set
-	mr := rrMat{
-		res:    r.res,
-		jobs:   r.res.Jobs,
-		h:      &s.rrPair,
-		rt:     sizedPairs(&s.soaRelTol, n),
-		m:      r.m,
-		speed:  r.speed,
-		env:    r.env,
-		hetero: r.hetero,
-		obs:    r.obs,
-		ep:     r.ep,
-	}
-	if r.hetero {
-		mr.shares = (*[rateTabSize]float64)(s.fairShares(r.env))
-	} else {
-		mr.ratio = (*[rateTabSize]float64)(s.rateRatios(r.m))
-	}
-	return mr.run(opts)
-}
-
-// runRRStream is the batched streaming sweep: the same bulk-advance drain
-// as rrMat.run over the payload-carrying JobHeap, with arrivals pulled
-// from the cursor (one-job lookahead, O(alive) memory). The next arrival
-// time is hoisted per drain — the cursor cannot change while completions
-// pop — so the drain touches no cursor state at all.
-//
-//rrlint:hotpath
-func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
+func runRR(r *rrRun, opts core.Options, s *scratch) error {
 	cur := r.cur
 	if !cur.More() {
 		return cur.Err()
@@ -457,8 +141,15 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 		if hasA {
 			tA = cur.Head().Release
 		}
+		// Drain: completion events, interleaved with the arrivals that
+		// beat them, until the heap empties.
 		for h.Len() > 0 {
 			alive := h.Len()
+			// rate = speed · min(1, m/alive); the m/alive quotient comes
+			// from the scratch's bit-exact table (see rateRatios) — a load
+			// in place of a hardware divide on the critical path. Under a
+			// heterogeneous model the share table generalizes to
+			// env.FairShare(alive) for every alive count (see fairShares).
 			rate := speed
 			if hetero {
 				if alive < rateTabSize {
@@ -476,9 +167,10 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 			minKey := h.Min().Key
 			tC := r.now + (minKey-r.V)/rate
 			if tC < r.now {
-				tC = r.now
+				tC = r.now // guard against cancellation in minKey−V
 			}
 			if hasA && tA < tC {
+				// Next event is an arrival: advance the fair share to it.
 				events++
 				if events&(ctxStride-1) == 0 {
 					if err := core.Canceled(opts.Context, r.now, events); err != nil {
@@ -501,6 +193,8 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 				}
 				continue
 			}
+			// Next event is a completion: land V exactly on the target so
+			// simultaneous completions (identical targets) drain together.
 			events++
 			if events&(ctxStride-1) == 0 {
 				if err := core.Canceled(opts.Context, r.now, events); err != nil {
@@ -512,8 +206,10 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 			}
 			r.V = minKey
 			r.now = tC
-			// Inlined complete(), as in rrMat.run: the top entry's key is
-			// exactly V, so it pops unconditionally before the group drain.
+			// Inlined complete(): V landed exactly on minKey, so the top
+			// entry qualifies unconditionally (key−V = 0, tolerances are
+			// strictly positive) — pop first, then drain the rest of the
+			// simultaneous-completion group.
 			it := h.PopMin()
 			recordFinish(r.res, r.sum, r.obs, it.Seq, it.Release, tC)
 			for h.Len() > 0 {
@@ -526,16 +222,19 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 			}
 			if coarse && tC == batchStart { //rrlint:ignore floateq instant identity: tC and batchStart carry the same propagated bits, not approximations
 				// Zero-length completion at the interval's opening instant:
-				// refresh the snapshot, as in rrMat.run.
+				// refresh the snapshot (see the topm drain for the same rule).
 				batchAlive = h.Len()
 			}
 		}
+		// The heap is empty: the busy interval that began at batchStart
+		// ends here.
 		if coarse {
 			emitCoarseEpoch(r.obs, r.ep, batchStart, r.now, batchAlive, r.rateSum(batchAlive))
 		}
 		if !hasA {
 			break
 		}
+		// Idle gap: jump to the next arrival; V does not advance.
 		events++
 		if events&(ctxStride-1) == 0 {
 			if err := core.Canceled(opts.Context, r.now, events); err != nil {
@@ -549,6 +248,10 @@ func runRRStream(r *rrRun, opts core.Options, s *scratch) error {
 			batchStart, batchAlive = r.now, h.Len()
 		}
 	}
-	r.sum.Events = events
+	if r.res != nil {
+		r.res.Events = events
+	} else {
+		r.sum.Events = events
+	}
 	return cur.Err()
 }

@@ -22,21 +22,6 @@ import (
 type scratch struct {
 	rrHeap queue.JobHeap
 
-	// rrPair and soaRelTol serve the batched materialized RR path (rrMat):
-	// 16-byte (key, id) heap items plus a flat per-job {release, tolerance}
-	// column indexed by normalized job index — the columnar SoA layout that
-	// keeps the bulk-advance drain on flat float loads instead of 32-byte
-	// Job structs. Release and tolerance are interleaved in one 16-byte
-	// pair because the drain always reads them together (tolerance for the
-	// pop test, release for the flow), and completions visit job indices in
-	// heap order, not sequentially: one pair per completion is one
-	// scattered cache line where split columns would fill two. The column
-	// is sized to the instance (the materialized path is O(n) by
-	// definition) and written at admission before any read, so it is never
-	// cleared.
-	rrPair    queue.PairHeap
-	soaRelTol [][2]float64
-
 	// ratio caches float64(m)/float64(alive) for alive in [1, rateTabSize):
 	// the RR drain recomputes that quotient on every event, and a table
 	// lookup replaces a hardware divide on the critical path of the next
@@ -91,8 +76,6 @@ type scratch struct {
 // re-initializes them per run, and they hold no references.
 func (s *scratch) Reset() {
 	s.rrHeap.Reset()
-	s.rrPair.Reset()
-	s.soaRelTol = s.soaRelTol[:0]
 	s.ord = ordering{}
 	s.rem = s.rem[:0]
 	s.cAt = s.cAt[:0]
@@ -189,18 +172,6 @@ func (s *scratch) fairShares(env *core.MachineEnv) []float64 {
 	s.sharesM = env.M
 	s.sharesSpeeds = append(s.sharesSpeeds[:0], sp...)
 	return s.shares
-}
-
-// sizedPairs resizes *p to length n without clearing, reallocating only
-// below capacity — the SoA column is always written at admission before
-// any read at completion, so stale values are unreachable and the clear
-// that core's grow performs would be pure memory traffic.
-func sizedPairs(p *[][2]float64, n int) [][2]float64 {
-	if cap(*p) < n {
-		*p = make([][2]float64, n)
-	}
-	*p = (*p)[:n]
-	return *p
 }
 
 // recordFinish delivers one job completion to the active sink — the
