@@ -191,8 +191,9 @@ func RandomOptions(seed uint64) core.Options {
 // RandomMachineModel deterministically generates a heterogeneous machine
 // model for m machines from a seed: speeds drawn from a small palette
 // (including exact 1s, so the explicit-all-ones plumbing path is exercised
-// too) and an occasional preemption cost. Only RR keeps a fast path under
-// these models, so the heterogeneous walls pair them with RR.
+// too) and an occasional preemption cost. The rank-based policies have no
+// fast path under a preemption cost, so the heterogeneous walls run them
+// with it zeroed.
 func RandomMachineModel(seed uint64, m int) core.Machines {
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	palette := []float64{0.25, 0.5, 1, 1, 1.5, 2, 4}

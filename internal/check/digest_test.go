@@ -18,7 +18,6 @@ import (
 	"rrnorm/internal/fast"
 	"rrnorm/internal/hunt"
 	"rrnorm/internal/metrics"
-	"rrnorm/internal/policy"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fast_digests.txt from the current fast engine")
@@ -28,7 +27,8 @@ var update = flag.Bool("update", false, "rewrite testdata/fast_digests.txt from 
 const digestFile = "testdata/fast_digests.txt"
 
 // The fast engine's bit-level oracle. For every fast-eligible policy on the
-// 1200-seed bulk set, RR on the 1200-seed heterogeneous set and every
+// 1200-seed bulk set, the 1200-seed heterogeneous set (RR on every seed, the
+// rank policies on the seeds without a preemption cost) and every
 // committed hunt witness it hashes everything the batched drains emit:
 // per-job Completion/Flow bits and Events of the materialized run, the
 // StreamResult of the streaming run, the full exact-epoch observer stream
@@ -105,9 +105,9 @@ func TestFastDigests(t *testing.T) {
 // and both epoch modes.
 func TestBatchedWallBulk(t *testing.T) { checkDigestFamily(t, "bulk", bulkDigestLines) }
 
-// TestBatchedWallHeteroBulk holds RR's water-filling drain to the committed
-// digests under the 1200 random heterogeneous machine models — the share
-// table must not perturb the bulk-advance algebra.
+// TestBatchedWallHeteroBulk holds RR's water-filling drain and the
+// rank-array top-m drain to the committed digests under the 1200 random
+// heterogeneous machine models.
 func TestBatchedWallHeteroBulk(t *testing.T) { checkDigestFamily(t, "hetero", heteroDigestLines) }
 
 // TestBatchedWallCorpus holds the batched drains to the committed digests
@@ -193,7 +193,7 @@ func heteroDigestLines(t *testing.T) []string {
 	for seed := uint64(0); seed < digestSeeds; seed++ {
 		opts := RandomOptions(seed)
 		opts.MachineModel = RandomMachineModel(seed, opts.Machines)
-		lines = append(lines, digestLine(t, "hetero", itoa(int(seed)), RandomInstance(seed), opts, []core.Policy{policy.NewRR()}))
+		lines = append(lines, digestLine(t, "hetero", itoa(int(seed)), RandomInstance(seed), opts, Policies(seed)))
 	}
 	return lines
 }

@@ -7,19 +7,22 @@ import (
 	"rrnorm/internal/core"
 	"rrnorm/internal/fast"
 	"rrnorm/internal/policy"
+	"rrnorm/internal/stats"
+	"rrnorm/internal/workload"
 )
 
 // The heterogeneous-model walls: the same 1200-seed random corpus as the
 // identical-machine walls, but with an explicit speed vector (and sometimes
-// a preemption cost) attached. RR is the only policy with a fast path under
-// these models, so the differential tests pin RR's water-filling path —
-// fast vs reference here, output bits in TestBatchedWallHeteroBulk — while the
-// property tests below cover every machine-aware policy through the
-// reference engine.
+// a preemption cost) attached. Every fast-path policy runs under these
+// models — RR on water-filling shares, the rank policies on the rank-array
+// drain, with the preemption cost zeroed since it has no fast path — so the
+// differential tests pin both drains: fast vs reference here, output bits
+// in TestBatchedWallHeteroBulk. The property tests below cover every
+// machine-aware policy, HYBRID through the reference engine.
 
-// TestEnginesAgreeHeteroBulk holds fast-vs-reference RR to the 1e-6
-// completion bar across 1200 random instances under random heterogeneous
-// machine models.
+// TestEnginesAgreeHeteroBulk holds fast-vs-reference to the 1e-6
+// completion bar for every fast-path policy across 1200 random instances
+// under random heterogeneous machine models.
 func TestEnginesAgreeHeteroBulk(t *testing.T) {
 	const seeds = 1200
 	tol := DefaultTolerances()
@@ -29,18 +32,24 @@ func TestEnginesAgreeHeteroBulk(t *testing.T) {
 		in := RandomInstance(seed)
 		opts := RandomOptions(seed)
 		opts.MachineModel = RandomMachineModel(seed, opts.Machines)
-		rep, err := Compare(in, policy.NewRR(), opts, tol)
-		if err != nil {
-			t.Fatalf("seed %d speeds=%v: %v", seed, opts.MachineModel.Speeds, err)
+		for _, p := range Policies(seed) {
+			o := opts
+			if _, rr := p.(policy.RR); !rr {
+				o.MachineModel.PreemptCost = 0
+			}
+			rep, err := Compare(in, p, o, tol)
+			if err != nil {
+				t.Fatalf("seed %d %s speeds=%v: %v", seed, p.Name(), o.MachineModel.Speeds, err)
+			}
+			if !rep.OK() {
+				t.Fatalf("seed %d (n=%d m=%d speeds=%v pc=%g): %s",
+					seed, in.N(), o.Machines, o.MachineModel.Speeds, o.MachineModel.PreemptCost, rep)
+			}
+			if rep.MaxCompletionDiff > worst {
+				worst = rep.MaxCompletionDiff
+			}
+			comparisons++
 		}
-		if !rep.OK() {
-			t.Fatalf("seed %d (n=%d m=%d speeds=%v pc=%g): %s",
-				seed, in.N(), opts.Machines, opts.MachineModel.Speeds, opts.MachineModel.PreemptCost, rep)
-		}
-		if rep.MaxCompletionDiff > worst {
-			worst = rep.MaxCompletionDiff
-		}
-		comparisons++
 	}
 	t.Logf("%d heterogeneous engine comparisons, max completion diff %.3g", comparisons, worst)
 	if worst > 1e-6 {
@@ -48,11 +57,34 @@ func TestEnginesAgreeHeteroBulk(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeHeteroLarge carries the rank-array drain's 1e-6 bar to
+// n=1e5: SRPT and FCFS on Pareto(α=1.5) sizes at load 0.95 over speeds
+// {1,1,1,1,2,2,4,4}, fast vs reference. Large absolute times and long
+// busy periods are where repeated settle-and-restamp rounding would show.
+func TestEnginesAgreeHeteroLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two n=1e5 reference-engine runs; skipped under -short")
+	}
+	speeds := []float64{1, 1, 1, 1, 2, 2, 4, 4}
+	in := workload.PoissonLoad(stats.NewRNG(8191), 100_000, len(speeds), 0.95, workload.ParetoSizes{Alpha: 1.5, Xm: 1})
+	opts := core.Options{Machines: len(speeds), Speed: 1, MachineModel: core.Machines{Speeds: speeds}}
+	for _, p := range []core.Policy{policy.NewSRPT(), policy.NewFCFS()} {
+		rep, err := Compare(in, p, opts, DefaultTolerances())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if !rep.OK() {
+			t.Fatalf("n=%d speeds=%v: %s", in.N(), speeds, rep)
+		}
+		t.Logf("%s n=%d: max completion diff %.3g", p.Name(), in.N(), rep.MaxCompletionDiff)
+	}
+}
+
 // TestHeteroFlowLowerBound is the generalized per-job bound: a job runs on
 // at most one machine at a time, so its flow is at least
 // Size/(maxSpeed·speed) under any policy. Checked for every machine-aware
-// policy over random instances and models (non-RR policies route to the
-// reference engine automatically).
+// policy over random instances and models (HYBRID routes to the reference
+// engine automatically).
 func TestHeteroFlowLowerBound(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		in := RandomInstance(seed)

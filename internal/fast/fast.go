@@ -3,7 +3,10 @@
 // it produces the same schedules as the reference engine (core.Run) in
 // O((n + completions) log n) instead of the reference's O(events · n_t):
 // RR via incremental virtual-time ("fair share") accounting, the rank-based
-// policies via three indexed heaps over the running and waiting sets.
+// policies via indexed heaps over the running and waiting sets (on uniform
+// machines, a rank-ordered running array of at most m slots). Both drains
+// cover identical machines and explicit Speeds; a positive PreemptCost
+// keeps the rank-based policies on the reference engine.
 //
 // Run is a drop-in replacement for core.Run that honors
 // core.Options.Engine: it dispatches to a fast path when one exists and
@@ -30,7 +33,9 @@ import (
 )
 
 // ErrNoFastPath reports that core.Options required the fast engine
-// (EngineFast) but the policy/options combination has no fast path.
+// (EngineFast) but the policy/options combination has no fast path: a
+// policy outside RR/SRPT/SJF/FCFS/StaticPriority, segment recording, a
+// per-job-epoch observer, or a rank-based policy with PreemptCost > 0.
 var ErrNoFastPath = errors.New("fast: no fast path for policy/options")
 
 // ctxStride is the event interval between Options.Context cancellation
@@ -41,11 +46,12 @@ const ctxStride = 256
 // Eligible reports whether the policy/options combination has a fast path:
 // one of the structured policies, with segment recording disabled (the rate
 // timeline is only produced by the reference engine) and no observer that
-// needs per-job epochs (the fast paths emit aggregate-only epochs). Under a
-// heterogeneous machine model only RR is eligible: its fair share stays a
-// single per-alive-count scalar (water-filling), while the rank-based paths
-// assume the m identical-speed slots that make completion-if-unpreempted
-// times policy-independent.
+// needs per-job epochs (the fast paths emit aggregate-only epochs). Every
+// structured policy is eligible under explicit Speeds — RR's fair share is a
+// per-alive-count scalar (water-filling), and the rank-based paths run the
+// r-th ranked job on the r-th fastest machine — but the rank-based ones
+// only with PreemptCost == 0: a preemption charge makes remaining work jump
+// at displacement, which their drain does not model. RR never pays it.
 func Eligible(p core.Policy, opts core.Options) bool {
 	if opts.RecordSegments || core.ObserverNeedsJobEpochs(opts.Observer) {
 		return false
@@ -54,9 +60,16 @@ func Eligible(p core.Policy, opts core.Options) bool {
 	case policy.RR, *policy.RR:
 		return true
 	case *policy.SRPT, *policy.SJF, *policy.FCFS, *policy.StaticPriority:
-		return opts.MachineModel.Default()
+		return opts.MachineModel.PreemptCost == 0
 	}
 	return false
+}
+
+// noFastPath is the EngineFast refusal for an ineligible combination,
+// naming every input Eligible consults.
+func noFastPath(p core.Policy, opts core.Options) error {
+	return fmt.Errorf("%w: policy %s (RecordSegments=%v, observer needs job epochs=%v, PreemptCost=%g)",
+		ErrNoFastPath, p.Name(), opts.RecordSegments, core.ObserverNeedsJobEpochs(opts.Observer), opts.MachineModel.PreemptCost)
 }
 
 // Run simulates the policy on the instance, honoring opts.Engine:
@@ -91,8 +104,7 @@ func RunWS(in *core.Instance, p core.Policy, opts core.Options, ws *core.Workspa
 	}
 	if !Eligible(p, opts) {
 		if opts.Engine == core.EngineFast {
-			return nil, fmt.Errorf("%w: policy %s (RecordSegments=%v, observer needs job epochs=%v)",
-				ErrNoFastPath, p.Name(), opts.RecordSegments, core.ObserverNeedsJobEpochs(opts.Observer))
+			return nil, noFastPath(p, opts)
 		}
 		return core.RunWS(in, p, opts, ws)
 	}
@@ -148,8 +160,7 @@ func RunStream(src core.JobSource, p core.Policy, opts core.Options, ws *core.Wo
 	}
 	if !Eligible(p, opts) {
 		if opts.Engine == core.EngineFast {
-			return core.StreamResult{}, fmt.Errorf("%w: policy %s (RecordSegments=%v, observer needs job epochs=%v)",
-				ErrNoFastPath, p.Name(), opts.RecordSegments, core.ObserverNeedsJobEpochs(opts.Observer))
+			return core.StreamResult{}, noFastPath(p, opts)
 		}
 		return core.RunStream(src, p, opts, ws)
 	}
@@ -189,27 +200,23 @@ func RunStream(src core.JobSource, p core.Policy, opts core.Options, ws *core.Wo
 // dispatch routes one run — arrivals from cur, completions into exactly one
 // of res/sum — to the policy's fast path. Eligibility was already checked.
 func dispatch(p core.Policy, cur *core.Cursor, res *core.Result, sum *core.StreamResult, opts core.Options, s *scratch) error {
+	core.BuildMachineEnv(&opts, &s.env)
 	switch pp := p.(type) {
 	case policy.RR, *policy.RR:
-		core.BuildMachineEnv(&opts, &s.env)
 		r := rrRun{cur: cur, res: res, sum: sum, h: &s.rrHeap, m: opts.Machines, speed: opts.Speed, obs: opts.Observer, ep: &s.epoch, env: &s.env, hetero: !s.env.Identical()}
 		return runRR(&r, opts, s)
 	case *policy.SRPT:
-		s.prepareTopM(ordSRPT, false, opts.Speed)
-		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyNone}
+		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyNone, het: s.prepareTopM(ordSRPT, false)}
 		return r.run(opts)
 	case *policy.SJF:
-		s.prepareTopM(ordStatic, true, opts.Speed)
-		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keySize}
+		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keySize, het: s.prepareTopM(ordStatic, true)}
 		return r.run(opts)
 	case *policy.FCFS:
 		// Arrival-sequence order is (Release, ID) order — FCFS itself.
-		s.prepareTopM(ordStatic, false, opts.Speed)
-		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyNone}
+		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyNone, het: s.prepareTopM(ordStatic, false)}
 		return r.run(opts)
 	case *policy.StaticPriority:
-		s.prepareTopM(ordStatic, true, opts.Speed)
-		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyPriority, prio: pp}
+		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyPriority, prio: pp, het: s.prepareTopM(ordStatic, true)}
 		return r.run(opts)
 	}
 	// Unreachable: Eligible covered the type switch.

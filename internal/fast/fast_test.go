@@ -192,6 +192,20 @@ func TestEligible(t *testing.T) {
 	if Eligible(policy.NewRR(), core.Options{Machines: 1, Speed: 1, RecordSegments: true}) {
 		t.Error("RecordSegments must disable the fast path")
 	}
+	speeds := core.Options{Machines: 2, Speed: 1, MachineModel: core.Machines{Speeds: []float64{1, 3}}}
+	costly := speeds
+	costly.MachineModel.PreemptCost = 0.5
+	for _, p := range []core.Policy{policy.NewSRPT(), policy.NewFCFS()} {
+		if !Eligible(p, speeds) {
+			t.Errorf("%s on speeds [1 3] should be eligible", p.Name())
+		}
+		if Eligible(p, costly) {
+			t.Errorf("%s with PreemptCost 0.5 should not be eligible", p.Name())
+		}
+	}
+	if Eligible(policy.NewHybrid(0.5, 0), speeds) {
+		t.Error("HYBRID has no fast path")
+	}
 }
 
 // TestDeterminism: the fast engine must be bit-identical across runs.

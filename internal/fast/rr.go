@@ -65,20 +65,13 @@ func (r *rrRun) complete() {
 	}
 }
 
-// epoch emits the rate-constant interval [r.now, end) to the observer.
+// epoch emits the rate-constant interval [r.now, end) to the observer. Its
+// rate sum is env.RRSum: every alive RR job shares min(1, m/alive) of a
+// machine, so the sum is min(alive, m); on uniform machines it is
+// alive·FairShare(alive).
 func (r *rrRun) epoch(end float64) {
 	alive := r.h.Len()
-	emitEpoch(r.obs, r.ep, r.now, end, alive, r.rateSum(alive))
-}
-
-// rateSum is the pre-speed rate sum of alive RR jobs. Under RR every alive
-// job shares min(1, m/alive) of a machine, so the sum is min(alive, m); on
-// uniform machines it is alive·FairShare(alive) (env.RRSum).
-func (r *rrRun) rateSum(alive int) float64 {
-	if r.hetero {
-		return r.env.RRSum(alive)
-	}
-	return identicalRateSum(alive, r.m)
+	emitEpoch(r.obs, r.ep, r.now, end, alive, r.env.RRSum(alive))
 }
 
 // runRR simulates Round Robin in O((n + completions) log alive) with
@@ -229,7 +222,7 @@ func runRR(r *rrRun, opts core.Options, s *scratch) error {
 		// The heap is empty: the busy interval that began at batchStart
 		// ends here.
 		if coarse {
-			emitCoarseEpoch(r.obs, r.ep, batchStart, r.now, batchAlive, r.rateSum(batchAlive))
+			emitCoarseEpoch(r.obs, r.ep, batchStart, r.now, batchAlive, r.env.RRSum(batchAlive))
 		}
 		if !hasA {
 			break

@@ -9,7 +9,8 @@ import (
 
 // scratch is the fast engine's per-workspace state: the RR virtual-time
 // completion heap, and the top-m engine's slot arrays plus the three
-// indexed heaps ranging over them. It rides on
+// indexed heaps (or, on uniform machines, the rank array and the waiting
+// heap) ranging over them. It rides on
 // core.Workspace.EngineScratch, so one pooled workspace serves both
 // engines; after the first run on a workspace every buffer here is reused
 // and the fast paths allocate nothing.
@@ -42,8 +43,8 @@ type scratch struct {
 	sharesSpeeds []float64
 
 	// env is the run's machine environment, rebuilt by dispatch on reused
-	// buffers (core.BuildMachineEnv); the RR paths consult it for
-	// heterogeneous fair shares and epoch rate sums.
+	// buffers (core.BuildMachineEnv); the drains consult it for
+	// heterogeneous fair shares, rank speeds and epoch rate sums.
 	env core.MachineEnv
 
 	ord     ordering
@@ -57,6 +58,13 @@ type scratch struct {
 	byC     indexHeap
 	worst   indexHeap
 	waiting indexHeap
+
+	// rank is the running set on uniform machines, best job first: rank[r]
+	// is the slot on the r-th fastest machine, draining at rankRate[r] =
+	// speed·env.RankSpeed(r). Both have capacity m; byC and worst stay
+	// empty on that path.
+	rank     []int
+	rankRate []float64
 
 	// epoch is the single core.Epoch value reused for every ObserveEpoch
 	// callback, kept here (not on the run's stack) so its address reaching
@@ -84,6 +92,7 @@ func (s *scratch) Reset() {
 	s.release = s.release[:0]
 	s.seq = s.seq[:0]
 	s.free = s.free[:0]
+	s.rank = s.rank[:0]
 	s.epoch = core.Epoch{}
 	s.cur = core.Cursor{}
 	s.sum = core.StreamResult{}
@@ -104,8 +113,8 @@ func emitEpoch(obs core.Observer, ep *core.Epoch, start, end float64, alive int,
 // emitCoarseEpoch delivers one aggregate busy-interval epoch [start, end)
 // to obs with Coarse set: Start/End bound the busy time exactly, while
 // Alive/RateSum are the interval's opening snapshot (see core.Epoch) — the
-// caller supplies the snapshot's rate sum (identicalRateSum or
-// core.MachineEnv.RRSum). The bulk-advance paths emit these — one per
+// caller supplies the snapshot's rate sum (core.MachineEnv.RRSum or
+// PrefixSpeed). The bulk-advance paths emit these — one per
 // maximal busy interval — when every attached observer opts in via
 // core.CoarseEpochObserver. Zero-length and idle intervals are skipped, as
 // in emitEpoch.
@@ -115,16 +124,6 @@ func emitCoarseEpoch(obs core.Observer, ep *core.Epoch, start, end float64, aliv
 	}
 	*ep = core.Epoch{Start: start, End: end, Alive: alive, RateSum: rs, Coarse: true}
 	obs.ObserveEpoch(ep)
-}
-
-// identicalRateSum is RR's pre-augmentation total rate min(alive, m) on
-// identical unit machines — the historical expression, kept verbatim for
-// the default-model paths.
-func identicalRateSum(alive, m int) float64 {
-	if alive > m {
-		return float64(m)
-	}
-	return float64(alive)
 }
 
 // rateTabSize bounds the cached m/alive ratio table. 1024 entries cover
@@ -207,10 +206,12 @@ func scratchOf(ws *core.Workspace) *scratch {
 	return s
 }
 
-// prepareTopM readies the slot state for a run: all slots released, the
-// heaps emptied and re-pointed at the ordering. Slot capacity from earlier
+// prepareTopM readies the slot state for a run on s.env: all slots
+// released, the heaps emptied and re-pointed at the ordering, and on
+// uniform machines the rank array emptied and its rate table rebuilt. It
+// reports whether the run takes the rank-array path. Capacity from earlier
 // runs is kept, so steady-state runs allocate nothing.
-func (s *scratch) prepareTopM(kind ordKind, useKey bool, speed float64) {
+func (s *scratch) prepareTopM(kind ordKind, useKey bool) bool {
 	s.rem = s.rem[:0]
 	s.cAt = s.cAt[:0]
 	s.key = s.key[:0]
@@ -218,10 +219,23 @@ func (s *scratch) prepareTopM(kind ordKind, useKey bool, speed float64) {
 	s.release = s.release[:0]
 	s.seq = s.seq[:0]
 	s.free = s.free[:0]
-	s.ord = ordering{kind: kind, useKey: useKey, s: s, speed: speed}
+	s.ord = ordering{kind: kind, useKey: useKey, s: s}
 	s.byC.reuse(&s.ord, roleByC)
 	s.worst.reuse(&s.ord, roleWorst)
 	s.waiting.reuse(&s.ord, roleWait)
+	env := &s.env
+	if env.Identical() {
+		return false
+	}
+	if cap(s.rank) < env.M {
+		s.rank = make([]int, 0, env.M)
+	}
+	s.rank = s.rank[:0]
+	s.rankRate = s.rankRate[:0]
+	for r := 0; r < env.M; r++ {
+		s.rankRate = append(s.rankRate, env.Speed*env.RankSpeed(r))
+	}
+	return true
 }
 
 // allocSlot claims a slot for an admitted job, reusing a freed one when

@@ -2,7 +2,7 @@ package policy
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"rrnorm/internal/core"
 )
@@ -14,10 +14,10 @@ type rankBuf struct {
 	idx []int
 }
 
-// topM sorts job indices 0..n-1 by less and assigns rate 1 to the first
-// min(m, n) of them. less must be a strict weak ordering; ties should be
-// broken deterministically (callers use release then ID).
-func (b *rankBuf) topM(n, m int, rates []float64, less func(a, b int) bool) {
+// rank stably sorts job indices 0..n-1 by less (a strict weak order, ties
+// broken by release then ID) into b.idx: the same permutation as
+// sort.SliceStable, without its reflect swapper or escaping closures.
+func (b *rankBuf) rank(n int, less func(a, b int) bool) {
 	if cap(b.idx) < n {
 		b.idx = make([]int, n)
 	}
@@ -25,9 +25,23 @@ func (b *rankBuf) topM(n, m int, rates []float64, less func(a, b int) bool) {
 	for i := range b.idx {
 		b.idx[i] = i
 	}
-	sort.SliceStable(b.idx, func(x, y int) bool { return less(b.idx[x], b.idx[y]) })
-	k := min(m, n)
-	for i := 0; i < k; i++ {
+	//rrlint:ignore hotalloc less does not escape, so the compiler keeps this closure on the stack; TestEngineAllocBudget pins reference/SRPT at 0 allocs/run
+	slices.SortStableFunc(b.idx, func(x, y int) int {
+		if less(x, y) {
+			return -1
+		}
+		if less(y, x) {
+			return 1
+		}
+		return 0
+	})
+}
+
+// topM ranks jobs 0..n-1 by less and assigns rate 1 to the first min(m, n)
+// of them.
+func (b *rankBuf) topM(n, m int, rates []float64, less func(a, b int) bool) {
+	b.rank(n, less)
+	for i := range min(m, n) {
 		rates[b.idx[i]] = 1
 	}
 }
@@ -37,16 +51,8 @@ func (b *rankBuf) topM(n, m int, rates []float64, less func(a, b int) bool) {
 // instead of 1). With identical unit machines it assigns exactly what topM
 // does.
 func (b *rankBuf) topMEnv(n int, env *core.MachineEnv, rates []float64, less func(a, b int) bool) {
-	if cap(b.idx) < n {
-		b.idx = make([]int, n)
-	}
-	b.idx = b.idx[:n]
-	for i := range b.idx {
-		b.idx[i] = i
-	}
-	sort.SliceStable(b.idx, func(x, y int) bool { return less(b.idx[x], b.idx[y]) })
-	k := min(env.M, n)
-	for i := 0; i < k; i++ {
+	b.rank(n, less)
+	for i := range min(env.M, n) {
 		rates[b.idx[i]] = env.RankSpeed(i)
 	}
 }
@@ -76,14 +82,8 @@ func propFillEnv(weights []float64, env *core.MachineEnv, rates []float64, buf *
 		}
 		return
 	}
-	if cap(buf.idx) < n {
-		buf.idx = make([]int, n)
-	}
-	buf.idx = buf.idx[:n]
-	for i := range buf.idx {
-		buf.idx[i] = i
-	}
-	sort.SliceStable(buf.idx, func(x, y int) bool { return weights[buf.idx[x]] > weights[buf.idx[y]] })
+	//rrlint:ignore hotalloc rank's less does not escape, so the compiler keeps this closure on the stack
+	buf.rank(n, func(a, b int) bool { return weights[a] > weights[b] })
 	λ := math.Inf(1)
 	wsum := 0.0
 	k := min(env.M, n)
