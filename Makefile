@@ -117,12 +117,12 @@ bench:
 # the workspace-vs-fresh and vs-seed comparisons, single-run walls at
 # n ∈ {1e6, 1e7} with the RR n=1e7 < 1s gate, and the sharded SRPT
 # speedup row), BENCH_observe.json (the
-# n=1e6 streaming-observer vs RecordSegments comparison: ns/op, heap
+# n=1e6 streaming-observer vs core.SegmentRecorder comparison: ns/op, heap
 # churn, peak RSS) and BENCH_stream.json (a 1e7-job streaming JobSource
 # replay in a child process whose Maxrss must stay under the
 # bounded-memory gate). The writers fail if any grid cell or observer
-# path allocates, the n=1e4 workspace speedup drops below 25%, Segment
-# recording stops being ≥10x the observer path's heap churn, or the
+# path allocates, the n=1e4 workspace speedup drops below 25%, a
+# SegmentRecorder stops churning ≥10x the observer path's heap, or the
 # streaming replay's peak RSS exceeds its gate.
 bench-engine:
 	WRITE_BENCH=1 $(GO) test -run 'TestWriteEngineBenchBaseline|TestWriteObserveBenchBaseline|TestWriteStreamBenchBaseline' -v -timeout 30m .
@@ -132,7 +132,7 @@ bench-engine:
 # attached), the fast-RR ratchet (the RR drain ≥2x the reference
 # per-epoch engine at n=1e6, on identical machines and on speeds [1 3]),
 # plus a 100-iteration pass over the workspace grid (-short skips the
-# n=1e6 cells the ratchet already covers) and the observers-vs-segments
+# n=1e6 cells the ratchet already covers) and the observers-vs-SegmentRecorder
 # comparison so allocs/op regressions surface in the job log without a
 # full bench run. TestDecodeAllocBudget holds the trace decoder at 0
 # allocs/job (the same constant count at n=1e3 and n=1e4, NDJSON and CSV).

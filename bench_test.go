@@ -58,9 +58,9 @@ func BenchmarkEngineRRMultiMachine(b *testing.B) { benchPolicy(b, "RR", 1000, 8)
 
 func BenchmarkEngineRRWithSegments(b *testing.B) {
 	in := benchInstance(1000)
-	opts := core.Options{Machines: 1, Speed: 1, RecordSegments: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		opts := core.Options{Machines: 1, Speed: 1, Observer: &core.SegmentRecorder{}}
 		if _, err := core.Run(in, policy.NewRR(), opts); err != nil {
 			b.Fatal(err)
 		}
@@ -145,13 +145,16 @@ func BenchmarkLPLowerBound(b *testing.B) {
 
 func BenchmarkDualCertificate(b *testing.B) {
 	in := benchInstance(300)
-	res, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: dual.Eta(2, 0.05), RecordSegments: true})
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dual.Build(res, 2, 0.05); err != nil {
+		w, err := dual.NewWitnessObserver(2, 0.05, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Run(in, policy.NewRR(), core.Options{Machines: 1, Speed: dual.Eta(2, 0.05), Observer: w}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := w.Certificate(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,8 +45,7 @@ func main() {
 		workload.Describe(in), *m, s, dual.Eta(*k, *eps))
 	// The certificate is built by a streaming witness observer during the
 	// run — no Segment timeline is materialized, so memory stays O(n)
-	// instead of O(events·n). The construction is shared with dual.Build,
-	// so the result is identical to the old recorded-run path.
+	// instead of O(events·n).
 	w, err := dual.NewWitnessObserver(*k, *eps, *m)
 	if err != nil {
 		fatal(err)

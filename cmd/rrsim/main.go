@@ -114,12 +114,20 @@ func main() {
 	}
 	fmt.Fprintln(tw)
 	var last *core.Result
+	var rec *core.SegmentRecorder
 	for _, name := range names {
 		p, err := polspec.New(name)
 		if err != nil {
 			fatal(err)
 		}
-		res, err := fast.Run(in, p, core.Options{Machines: *m, Speed: *speed, MachineModel: mm, RecordSegments: *resOut != "", Engine: eng})
+		opts := core.Options{Machines: *m, Speed: *speed, MachineModel: mm, Engine: eng}
+		if *resOut != "" {
+			// The result file carries the rate timeline, which only the
+			// reference engine produces.
+			rec = &core.SegmentRecorder{}
+			opts.Observer = rec
+		}
+		res, err := fast.Run(in, p, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -141,7 +149,11 @@ func main() {
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", " ")
-		if err := enc.Encode(last); err != nil {
+		out := struct {
+			*core.Result
+			Segments []core.Segment
+		}{last, rec.Segments}
+		if err := enc.Encode(out); err != nil {
 			fatal(err)
 		}
 		f.Close()

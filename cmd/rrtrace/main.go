@@ -126,11 +126,12 @@ func cmdMachines(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Run(in, p, core.Options{Machines: *m, Speed: *speed, RecordSegments: true})
+	var rec core.SegmentRecorder
+	res, err := core.Run(in, p, core.Options{Machines: *m, Speed: *speed, Observer: &rec})
 	if err != nil {
 		return err
 	}
-	machines, err := core.AssignMachines(res)
+	machines, err := core.AssignMachines(res, rec.Segments)
 	if err != nil {
 		return err
 	}

@@ -32,12 +32,15 @@ func main() {
 	fmt.Println(cert)
 
 	// The same dual construction on an unaugmented RR schedule.
-	res, err := rrnorm.SimulateWith(in, policy.NewRR(),
-		rrnorm.Options{Machines: 1, Speed: 1, RecordSegments: true})
+	w, err := dual.NewWitnessObserver(k, eps, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	slow, err := dual.Build(res, k, eps)
+	if _, err := rrnorm.SimulateWith(in, policy.NewRR(),
+		rrnorm.Options{Machines: 1, Speed: 1, Observer: w}); err != nil {
+		log.Fatal(err)
+	}
+	slow, err := w.Certificate()
 	if err != nil {
 		log.Fatal(err)
 	}

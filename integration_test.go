@@ -113,17 +113,19 @@ func TestFullPipeline(t *testing.T) {
 	const k = 2
 	const eps = 0.05
 
-	res, err := rrnorm.Simulate(in, "RR", rrnorm.Options{Machines: 2, Speed: dual.Eta(k, eps), RecordSegments: true})
+	w, err := dual.NewWitnessObserver(k, eps, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.ValidateResult(res); err != nil {
-		t.Fatal(err)
-	}
-	ff, err := core.FractionalFlows(res)
+	var rec rrnorm.SegmentRecorder
+	res, err := rrnorm.Simulate(in, "RR", rrnorm.Options{Machines: 2, Speed: dual.Eta(k, eps), Observer: rrnorm.MultiObserver(w, &rec)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := core.ValidateResult(res, rec.Segments); err != nil {
+		t.Fatal(err)
+	}
+	ff := core.FractionalFlows(res, rec.Segments)
 	for i := range ff {
 		if ff[i] > res.Flow[i] {
 			t.Fatalf("fractional flow exceeds flow for job %d", i)
@@ -133,7 +135,7 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := dual.Build(res, k, eps)
+	cert, err := w.Certificate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +156,12 @@ func TestFullPipeline(t *testing.T) {
 // TestGanttOnRealSchedule smoke-tests the renderer against a sizable run.
 func TestGanttOnRealSchedule(t *testing.T) {
 	in := rrnorm.FromSpecMust("bursts:bursts=3,size=4,period=8", 1)
-	res, err := rrnorm.Simulate(in, "SRPT", rrnorm.Options{Machines: 2, Speed: 1, RecordSegments: true})
+	var rec rrnorm.SegmentRecorder
+	res, err := rrnorm.Simulate(in, "SRPT", rrnorm.Options{Machines: 2, Speed: 1, Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := core.RenderGantt(res, 72)
+	out := rrnorm.Gantt(res, rec.Segments, 72)
 	if len(out) == 0 || out == "(empty schedule)\n" {
 		t.Fatal("gantt empty")
 	}

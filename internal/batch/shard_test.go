@@ -167,11 +167,6 @@ func TestShardedRejects(t *testing.T) {
 	if _, err := RunSharded(context.Background(), in, "SRPT", bad, 1, nil, nil); !errors.Is(err, core.ErrBadOptions) {
 		t.Fatalf("Options.Observer: err=%v, want ErrBadOptions", err)
 	}
-	bad = good
-	bad.RecordSegments = true
-	if _, err := RunSharded(context.Background(), in, "SRPT", bad, 1, nil, nil); !errors.Is(err, core.ErrBadOptions) {
-		t.Fatalf("RecordSegments: err=%v, want ErrBadOptions", err)
-	}
 }
 
 // TestShardedDegenerate covers empty instances and more machines than jobs.

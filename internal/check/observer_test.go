@@ -5,23 +5,18 @@ import (
 	"testing"
 
 	"rrnorm/internal/core"
-	"rrnorm/internal/dual"
 	"rrnorm/internal/fast"
 	"rrnorm/internal/metrics"
-	"rrnorm/internal/policy"
 	"rrnorm/internal/stats"
 )
 
 // TestObserversAgreeWithSegments is the streaming-pipeline differential
-// test: over the same 1200-seed corpus as TestEnginesAgreeBulk, every
-// observer-derived quantity — ℓk norms of flow (StreamNorm), overloaded
-// time |T_o| and busy-period count (TimelineObserver), and the dual
-// objective (WitnessObserver) — must agree with the Segment-derived
-// post-processing it replaced at 1e-6, on both engines.
-//
-// The Segment-derived values necessarily come from the reference engine
-// (recording forces it), so the fast-engine leg doubles as a cross-engine
-// check of the aggregate epochs the fast paths emit.
+// test: over the same 1200-seed corpus as TestEnginesAgreeBulk, the
+// observer-derived quantities — ℓk norms of flow (StreamNorm), overloaded
+// time |T_o| and busy-period count (TimelineObserver) — must agree at 1e-6
+// with the reference engine's ground truth (ℓk norms of its flows, and a
+// TimelineObserver fed its per-job epochs), on both engines. The fast leg
+// is a cross-engine check of the aggregate epochs the fast paths emit.
 func TestObserversAgreeWithSegments(t *testing.T) {
 	const seeds = 1200
 	const tol = 1e-6
@@ -36,19 +31,20 @@ func TestObserversAgreeWithSegments(t *testing.T) {
 		pols := Policies(seed)
 		p := pols[int(seed)%len(pols)] // one policy per seed bounds the cost
 
-		// Segment-derived ground truth.
+		// Reference-engine ground truth.
+		refTL := stats.NewTimelineObserver(opts.Machines)
 		ro := opts
 		ro.Engine = core.EngineReference
-		ro.RecordSegments = true
+		ro.Observer = refTL
 		ref, err := core.Run(in, p, ro)
 		if err != nil {
-			t.Fatalf("seed %d: recorded run: %v", seed, err)
+			t.Fatalf("seed %d: reference run: %v", seed, err)
 		}
 		wantNorm := make([]float64, len(ks))
 		for i, k := range ks {
 			wantNorm[i] = metrics.LkNorm(ref.Flow, k)
 		}
-		wantTS := core.ComputeTimeStats(ref)
+		wantTS := refTL.Stats()
 
 		for _, eng := range []core.EngineKind{core.EngineReference, core.EngineFast} {
 			sn := metrics.NewStreamNorm(ks...)
@@ -61,66 +57,21 @@ func TestObserversAgreeWithSegments(t *testing.T) {
 			}
 			for i, k := range ks {
 				if got := sn.Norm(k); !agreeAt(got, wantNorm[i]) {
-					t.Fatalf("seed %d %s %v: L%d stream %.17g vs segment-derived %.17g",
+					t.Fatalf("seed %d %s %v: L%d stream %.17g vs reference %.17g",
 						seed, p.Name(), eng, k, got, wantNorm[i])
 				}
 			}
 			got := tl.Stats()
 			if !agreeAt(got.OverloadedTime, wantTS.OverloadedTime) {
-				t.Fatalf("seed %d %s %v: |T_o| stream %.17g vs segment-derived %.17g",
+				t.Fatalf("seed %d %s %v: |T_o| stream %.17g vs reference %.17g",
 					seed, p.Name(), eng, got.OverloadedTime, wantTS.OverloadedTime)
 			}
 			if got.BusyPeriods != wantTS.BusyPeriods {
-				t.Fatalf("seed %d %s %v: busy periods %d vs segment-derived %d",
+				t.Fatalf("seed %d %s %v: busy periods %d vs reference %d",
 					seed, p.Name(), eng, got.BusyPeriods, wantTS.BusyPeriods)
 			}
 			comparisons++
 		}
-
-		// Dual objective: witness observer vs dual.Build on a recorded RR
-		// run (the certificate is RR's; the witness needs per-job epochs so
-		// the engine dispatcher routes it to the reference engine itself).
-		const k, eps = 2, 0.05
-		rr := policy.NewRR()
-		dro := opts
-		dro.Engine = core.EngineReference
-		dro.RecordSegments = true
-		rres, err := core.Run(in, rr, dro)
-		if err != nil {
-			t.Fatalf("seed %d: recorded RR run: %v", seed, err)
-		}
-		if len(rres.Segments) == 0 {
-			// Empty or all-degenerate instances record no segments at all;
-			// dual.Build refuses them while the streaming witness still
-			// produces its (trivially feasible) certificate — nothing to
-			// diff against.
-			continue
-		}
-		want, err := dual.Build(rres, k, eps)
-		if err != nil {
-			t.Fatalf("seed %d: dual.Build: %v", seed, err)
-		}
-		w, err := dual.NewWitnessObserver(k, eps, opts.Machines)
-		if err != nil {
-			t.Fatalf("seed %d: witness: %v", seed, err)
-		}
-		wo := opts
-		wo.Observer = w
-		if _, err := fast.Run(in, policy.NewRR(), wo); err != nil {
-			t.Fatalf("seed %d: witness run: %v", seed, err)
-		}
-		cert, err := w.Certificate()
-		if err != nil {
-			t.Fatalf("seed %d: certificate: %v", seed, err)
-		}
-		if !agreeAt(cert.ObjectiveFraction, want.ObjectiveFraction) {
-			t.Fatalf("seed %d: dual objective fraction witness %.17g vs Build %.17g",
-				seed, cert.ObjectiveFraction, want.ObjectiveFraction)
-		}
-		if cert.Feasible != want.Feasible {
-			t.Fatalf("seed %d: dual feasibility witness %v vs Build %v", seed, cert.Feasible, want.Feasible)
-		}
-		comparisons++
 	}
-	t.Logf("%d observer-vs-segment comparisons across %d seeds", comparisons, seeds)
+	t.Logf("%d observer-vs-reference comparisons across %d seeds", comparisons, seeds)
 }

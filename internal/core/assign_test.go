@@ -7,8 +7,8 @@ import (
 
 func TestAssignSingleJob(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 2}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
-	ms, err := AssignMachines(res)
+	res, segs := mustRunSegs(t, in, eqPolicy{}, DefaultOptions())
+	ms, err := AssignMachines(res, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func TestAssignWrapAround(t *testing.T) {
 	})
 	opts := DefaultOptions()
 	opts.Machines = 2
-	res := mustRun(t, in, eqPolicy{}, opts)
-	ms, err := AssignMachines(res)
+	res, segs := mustRunSegs(t, in, eqPolicy{}, opts)
+	ms, err := AssignMachines(res, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +44,17 @@ func TestAssignWrapAround(t *testing.T) {
 	}
 }
 
+// TestAssignNeedsSegments: without the run's timeline the assignment has
+// no slices, and ValidateAssignment rejects it for missing work.
 func TestAssignNeedsSegments(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}})
-	opts := DefaultOptions()
-	opts.RecordSegments = false
-	res := mustRun(t, in, eqPolicy{}, opts)
-	if _, err := AssignMachines(res); err == nil {
-		t.Fatal("expected error without segments")
+	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
+	ms, err := AssignMachines(res, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateAssignment(res, ms); err == nil {
+		t.Fatal("expected ValidateAssignment to reject an assignment built without segments")
 	}
 }
 
@@ -61,13 +65,10 @@ func TestAssignRandomSchedules(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	for trial := 0; trial < 40; trial++ {
 		in := randomInstance(rng, 2+rng.IntN(25))
-		opts := Options{Machines: 1 + rng.IntN(4), Speed: 0.5 + 2*rng.Float64(), RecordSegments: true}
+		opts := Options{Machines: 1 + rng.IntN(4), Speed: 0.5 + 2*rng.Float64()}
 		for _, p := range []Policy{eqPolicy{}, onePolicy{}} {
-			res, err := Run(in, p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms, err := AssignMachines(res)
+			res, segs := mustRunSegs(t, in, p, opts)
+			ms, err := AssignMachines(res, segs)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, p.Name(), err)
 			}

@@ -54,6 +54,15 @@ func mustRun(t *testing.T, in *Instance, p Policy, opts Options) *Result {
 	return res
 }
 
+// mustRunSegs is mustRun with a SegmentRecorder attached: the result and
+// its rate timeline.
+func mustRunSegs(t *testing.T, in *Instance, p Policy, opts Options) (*Result, []Segment) {
+	t.Helper()
+	var rec SegmentRecorder
+	opts.Observer = &rec
+	return mustRun(t, in, p, opts), rec.Segments
+}
+
 func TestSingleJob(t *testing.T) {
 	in := NewInstance([]Job{{ID: 1, Release: 2, Size: 5}})
 	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
@@ -177,6 +186,30 @@ func TestZeroSizeJobCompletesAtAdmission(t *testing.T) {
 	approx(t, res.Completion[1], 1, 1e-9, "zero-size completion at release")
 	// Job 2 arrives after all work is done: it completes at its release.
 	approx(t, res.Completion[2], 10, 1e-9, "idle-time zero-size completion")
+
+	// An all-zero-size run has an empty timeline, and that timeline is a
+	// valid schedule: it validates, packs onto machines, and has zero
+	// fractional flow.
+	zero := NewInstance([]Job{{ID: 0, Release: 0, Size: 0}, {ID: 1, Release: 2, Size: 0}})
+	zres, zsegs := mustRunSegs(t, zero, eqPolicy{}, DefaultOptions())
+	if err := ValidateResult(zres, zsegs); err != nil {
+		t.Fatalf("all-zero-size run: ValidateResult: %v", err)
+	}
+	if ms, err := AssignMachines(zres, zsegs); err != nil {
+		t.Fatalf("all-zero-size run: AssignMachines: %v", err)
+	} else if err := ValidateAssignment(zres, ms); err != nil {
+		t.Fatalf("all-zero-size run: ValidateAssignment: %v", err)
+	}
+	for i, f := range FractionalFlows(zres, zsegs) {
+		if f != 0 {
+			t.Fatalf("all-zero-size run: fractional flow %d = %v, want 0", i, f)
+		}
+	}
+
+	// A run with positive-size work cannot validate without its timeline.
+	if err := ValidateResult(res, nil); !errors.Is(err, ErrInvalidSchedule) {
+		t.Fatalf("positive-size run without segments: want ErrInvalidSchedule, got %v", err)
+	}
 }
 
 // TestSubToleranceSizeJob: sizes below the completion tolerance floor
@@ -310,27 +343,17 @@ func TestEmptyInstance(t *testing.T) {
 
 func TestSegmentsRecorded(t *testing.T) {
 	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 2}, {ID: 1, Release: 1, Size: 1}})
-	res := mustRun(t, in, eqPolicy{}, DefaultOptions())
-	if len(res.Segments) == 0 {
+	res, segs := mustRunSegs(t, in, eqPolicy{}, DefaultOptions())
+	if len(segs) == 0 {
 		t.Fatal("no segments recorded")
 	}
-	if err := ValidateResult(res); err != nil {
+	if err := ValidateResult(res, segs); err != nil {
 		t.Fatalf("ValidateResult: %v", err)
 	}
 	// First segment: only job 0 alive.
-	s0 := res.Segments[0]
+	s0 := segs[0]
 	if len(s0.Jobs) != 1 || s0.Jobs[0] != 0 {
 		t.Fatalf("first segment should contain only job 0: %+v", s0)
-	}
-}
-
-func TestNoSegmentsWhenDisabled(t *testing.T) {
-	in := NewInstance([]Job{{ID: 0, Release: 0, Size: 1}})
-	opts := DefaultOptions()
-	opts.RecordSegments = false
-	res := mustRun(t, in, eqPolicy{}, opts)
-	if len(res.Segments) != 0 {
-		t.Fatalf("segments recorded despite RecordSegments=false")
 	}
 }
 
@@ -376,13 +399,10 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 		in := randomInstance(rng, n)
 		m := 1 + rng.IntN(4)
 		speed := 1 + rng.Float64()*3
-		opts := Options{Machines: m, Speed: speed, RecordSegments: true}
+		opts := Options{Machines: m, Speed: speed}
 		for _, p := range []Policy{eqPolicy{}, onePolicy{}} {
-			res, err := Run(in, p, opts)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if err := ValidateResult(res); err != nil {
+			res, segs := mustRunSegs(t, in, p, opts)
+			if err := ValidateResult(res, segs); err != nil {
 				t.Fatalf("trial %d (%s, m=%d, s=%v): %v", trial, p.Name(), m, speed, err)
 			}
 			for i, j := range res.Jobs {

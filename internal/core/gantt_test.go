@@ -16,9 +16,9 @@ func TestRenderGanttSingleInstant(t *testing.T) {
 		Jobs:       []Job{{ID: 7, Release: big, Size: 1e-14}},
 		Completion: []float64{big},
 		Flow:       []float64{0},
-		Segments:   []Segment{{Start: big, End: big, Jobs: []int{0}, Rates: []float64{1}}},
 	}
-	out := RenderGantt(res, 40)
+	segs := []Segment{{Start: big, End: big, Jobs: []int{0}, Rates: []float64{1}}}
+	out := RenderGantt(res, segs, 40)
 	if !strings.Contains(out, "single-instant") {
 		t.Fatalf("single-instant schedule not flagged:\n%s", out)
 	}
@@ -36,11 +36,11 @@ func TestRenderGanttSingleInstantEngine(t *testing.T) {
 		{ID: 1, Release: big, Size: 1e-13},
 		{ID: 2, Release: big, Size: 1e-13},
 	})
-	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, RecordSegments: true})
+	res, segs := mustRunSegs(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
 	if mk := res.Makespan(); mk != big {
 		t.Fatalf("expected single-instant schedule, makespan %v", mk)
 	}
-	out := RenderGantt(res, 40) // must not panic
+	out := RenderGantt(res, segs, 40) // must not panic
 	if !strings.Contains(out, "single-instant") {
 		t.Fatalf("single-instant schedule not flagged:\n%s", out)
 	}
@@ -48,8 +48,8 @@ func TestRenderGanttSingleInstantEngine(t *testing.T) {
 
 func TestRenderGanttBasic(t *testing.T) {
 	in := observerInstance()
-	res := mustRun(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1, RecordSegments: true})
-	out := RenderGantt(res, 40)
+	res, segs := mustRunSegs(t, in, eqPolicy{}, Options{Machines: 1, Speed: 1})
+	out := RenderGantt(res, segs, 40)
 	for _, id := range []string{"    1 │", "    2 │", "    3 │", "    4 │"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("missing row %q in:\n%s", id, out)

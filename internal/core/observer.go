@@ -1,15 +1,14 @@
 package core
 
 // Observer receives a simulation's event stream as it is produced, so
-// consumers that today post-process the materialized Result.Segments
-// timeline (ℓk-norm accumulation, time-average statistics, dual-fitting
-// witnesses, Gantt rendering, tracing) can instead reduce the schedule in
+// schedule consumers (ℓk-norm accumulation, time-average statistics,
+// dual-fitting witnesses, Gantt rendering, tracing) reduce the schedule in
 // a single pass with O(alive jobs) state — the memory bound that makes
-// n=10⁶ sweeps feasible without Options.RecordSegments.
+// n=10⁶ sweeps feasible. It is the only way a run emits its timeline;
+// SegmentRecorder materializes it when a consumer needs all of it.
 //
-// Both engines emit the callbacks at exactly the points where the
-// reference engine records Segments (DESIGN.md §13 specifies the
-// contract precisely):
+// Both engines emit the callbacks at the same points (DESIGN.md §13
+// specifies the contract precisely):
 //
 //   - ObserveArrival fires once per job, in normalized (Release, ID)
 //     order, at the instant the job is admitted — t equals the job's
@@ -69,8 +68,7 @@ type Observer interface {
 type Epoch struct {
 	// Start and End bound the interval. End ≥ Start; End == Start occurs
 	// only in the reference engine at magnitudes where float64 cannot
-	// advance time (parity with the Segments it records there) — the fast
-	// paths never emit zero-length epochs.
+	// advance time — the fast paths never emit zero-length epochs.
 	Start, End float64
 	// Alive is n_t, the number of alive jobs throughout the interval —
 	// except on a Coarse epoch, where it is the alive count once the
@@ -107,7 +105,7 @@ func (e *Epoch) Overloaded(m int) bool { return e.Alive >= m }
 // Jobs/Rates breakdown in every epoch (dual witnesses, Gantt rendering).
 // Only the reference engine produces it, so a dispatching front-end
 // (fast.RunWS) falls back to the reference engine when
-// NeedsJobEpochs() is true — the same routing RecordSegments gets.
+// NeedsJobEpochs() is true.
 type JobEpochObserver interface {
 	Observer
 	NeedsJobEpochs() bool
@@ -227,10 +225,12 @@ func (m MultiObserver) CoarseEpochsOK() bool {
 	return true
 }
 
-// SegmentRecorder is RecordSegments as an observer: it materializes the
-// epoch stream into a Segment timeline, deep-copying every epoch. It is
-// what RecordSegments now means internally, and the explicit form callers
-// use when they want the full timeline alongside other observers.
+// SegmentRecorder materializes the epoch stream into a Segment timeline,
+// deep-copying every epoch. It is the one way to get a run's full rate
+// timeline — the input of ValidateResult, AssignMachines, RenderGantt and
+// FractionalFlows. It needs job epochs, so dispatchers route runs carrying
+// it to the reference engine. Use a fresh recorder per run: Segments
+// accumulates across runs.
 type SegmentRecorder struct {
 	Segments []Segment
 }

@@ -76,13 +76,6 @@ func TestRunStreamEmptySource(t *testing.T) {
 	}
 }
 
-func TestRunStreamRejectsRecordSegments(t *testing.T) {
-	_, err := RunStream(&sliceSource{jobs: testJobs()}, eqPolicy{}, Options{Machines: 1, Speed: 1, RecordSegments: true}, nil)
-	if !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("want ErrBadOptions, got %v", err)
-	}
-}
-
 func TestRunStreamSourceValidation(t *testing.T) {
 	cases := []struct {
 		name string

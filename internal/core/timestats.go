@@ -1,8 +1,9 @@
 package core
 
-// TimeStats are time-averaged quantities of a recorded schedule.
+// TimeStats are time-averaged quantities of a schedule, as accumulated by
+// stats.TimelineObserver from a run's epoch stream.
 type TimeStats struct {
-	// Horizon is [Start, End] covered by segments.
+	// Horizon is [Start, End] covered by epochs.
 	Start, End float64
 	// AvgAlive is the time-average number of alive jobs over [Start, End]
 	// (the L of Little's law L = λ·W).
@@ -17,46 +18,4 @@ type TimeStats struct {
 	BusyPeriods int
 	// OverloadedTime is the total time with n_t ≥ m (the paper's T_o).
 	OverloadedTime float64
-}
-
-// ComputeTimeStats derives TimeStats from a result's segments (requires
-// RecordSegments).
-func ComputeTimeStats(res *Result) TimeStats {
-	var ts TimeStats
-	if len(res.Segments) == 0 {
-		return ts
-	}
-	ts.Start = res.Segments[0].Start
-	ts.End = res.Segments[len(res.Segments)-1].End
-	total := ts.End - ts.Start
-	if total <= 0 {
-		return ts
-	}
-	var aliveArea, rateArea float64
-	prevEnd := ts.Start
-	for si := range res.Segments {
-		seg := &res.Segments[si]
-		d := seg.Duration()
-		if seg.Start > prevEnd+1e-12*(1+seg.Start) || si == 0 {
-			ts.BusyPeriods++
-		}
-		prevEnd = seg.End
-		ts.BusyTime += d
-		n := len(seg.Jobs)
-		aliveArea += float64(n) * d
-		if n > ts.MaxAlive {
-			ts.MaxAlive = n
-		}
-		if seg.OverloadedAt(res.Machines) {
-			ts.OverloadedTime += d
-		}
-		var sum float64
-		for _, r := range seg.Rates {
-			sum += r
-		}
-		rateArea += sum * d
-	}
-	ts.AvgAlive = aliveArea / total
-	ts.Utilization = rateArea / (float64(res.Machines) * total)
-	return ts
 }

@@ -9,8 +9,9 @@ import (
 // ErrInvalidSchedule wraps all schedule-validation failures.
 var ErrInvalidSchedule = errors.New("core: invalid schedule")
 
-// ValidateResult cross-checks a recorded schedule against the instance and
-// the engine's reported completions:
+// ValidateResult cross-checks a run's rate timeline segs (as recorded by a
+// SegmentRecorder attached to the run) against the instance and the
+// engine's reported completions:
 //
 //   - segments are chronological and non-overlapping;
 //   - every rate is in [0, s_max] and per-segment rate sums are ≤ Σ speeds
@@ -22,8 +23,9 @@ var ErrInvalidSchedule = errors.New("core: invalid schedule")
 //     tolerance);
 //   - completions and flows are consistent (C_j = r_j + F_j, C_j ≥ r_j).
 //
-// It requires the result to have been produced with RecordSegments enabled.
-func ValidateResult(res *Result) error {
+// A missing timeline fails the work check for every job of positive size;
+// an all-zero-size run has an empty timeline and validates.
+func ValidateResult(res *Result, segs []Segment) error {
 	n := len(res.Jobs)
 	maxRate, capSum := 1.0, float64(res.Machines)
 	if res.MachineModel.Heterogeneous() {
@@ -38,9 +40,6 @@ func ValidateResult(res *Result) error {
 	pc := res.MachineModel.PreemptCost
 	if len(res.Completion) != n || len(res.Flow) != n {
 		return fmt.Errorf("%w: completion/flow length mismatch", ErrInvalidSchedule)
-	}
-	if len(res.Segments) == 0 && n > 0 {
-		return fmt.Errorf("%w: no segments recorded (RecordSegments off?)", ErrInvalidSchedule)
 	}
 	for i, j := range res.Jobs {
 		if res.Completion[i] < j.Release-1e-9 {
@@ -58,8 +57,8 @@ func ValidateResult(res *Result) error {
 		prevRate = make([]float64, n)
 	}
 	prevEnd := math.Inf(-1)
-	for si := range res.Segments {
-		seg := &res.Segments[si]
+	for si := range segs {
+		seg := &segs[si]
 		if seg.End < seg.Start {
 			return fmt.Errorf("%w: segment %d reversed [%v,%v)", ErrInvalidSchedule, si, seg.Start, seg.End)
 		}
@@ -117,7 +116,3 @@ func preemptCount(preempts []int, i int) int {
 	}
 	return preempts[i]
 }
-
-// OverloadedAt reports whether the segment is an overloaded time in the
-// paper's sense: |A(t)| ≥ m (all machines busy under RR).
-func (s *Segment) OverloadedAt(m int) bool { return len(s.Jobs) >= m }

@@ -18,7 +18,7 @@
 // instantaneous objective increase of every earlier-arriving alive job —
 // the amortized accounting the paper credits to Edmonds–Pruhs — so that
 // summing α over jobs recovers at least half of Σ_j k·age_j^{k−1} at every
-// time (Lemma 1). Every integrand is constant on the engine's segments, so
+// time (Lemma 1). Every integrand is constant on the engine's epochs, so
 // α is computed in closed form: ∫_a^b k(t−r)^{k−1} dt = (b−r)^k − (a−r)^k.
 //
 // Feasible duals satisfy α_j ≤ γ((t−r_j)^k + p_j^k) + p_j·β_t for all
@@ -98,13 +98,10 @@ type Certificate struct {
 	ImpliedNormRatio  float64
 }
 
-// Errors returned by Build.
-var (
-	ErrNeedSegments = errors.New("dual: result lacks segments (run with RecordSegments)")
-	ErrBadEps       = errors.New("dual: eps must be in (0, 0.1]")
-)
+// ErrBadEps reports an eps outside the construction's domain.
+var ErrBadEps = errors.New("dual: eps must be in (0, 0.1]")
 
-// checkParams validates Build's (and WitnessObserver's) parameter domain.
+// checkParams validates WitnessObserver's parameter domain.
 func checkParams(k int, eps float64) error {
 	if !(eps > 0 && eps <= 0.1) {
 		return fmt.Errorf("%w: %v", ErrBadEps, eps)
@@ -115,12 +112,10 @@ func checkParams(k int, eps float64) error {
 	return nil
 }
 
-// alphaEpoch folds one rate-constant interval [start, end) into alpha —
-// the α accumulation shared by the Segment walk (Build) and the streaming
-// WitnessObserver, so both produce bitwise-identical α vectors. jobs is the
-// interval's alive set in (Release, ID) order, so A(t, r_j) is exactly the
-// prefix ending at j; a running prefix sum of the per-job age integrals
-// gives every job's overloaded contribution in one pass.
+// alphaEpoch folds one rate-constant interval [start, end) into alpha.
+// jobs is the interval's alive set in (Release, ID) order, so A(t, r_j) is
+// exactly the prefix ending at j; a running prefix sum of the per-job age
+// integrals gives every job's overloaded contribution in one pass.
 func alphaEpoch(alpha, releases []float64, jobs []int, start, end float64, k int, overloaded bool) {
 	nt := float64(len(jobs))
 	if overloaded {
@@ -138,34 +133,10 @@ func alphaEpoch(alpha, releases []float64, jobs []int, start, end float64, k int
 	}
 }
 
-// Build constructs and checks the paper's dual solution for a recorded
-// schedule (intended: RR at speed ≥ 2k(1+10ε); the construction itself only
-// needs the segment timeline). k ≥ 1; eps ∈ (0, 0.1].
-func Build(res *core.Result, k int, eps float64) (*Certificate, error) {
-	if len(res.Segments) == 0 && len(res.Jobs) > 0 {
-		return nil, ErrNeedSegments
-	}
-	if err := checkParams(k, eps); err != nil {
-		return nil, err
-	}
-	n := len(res.Jobs)
-	alpha := make([]float64, n)
-	releases := make([]float64, n)
-	for i := range res.Jobs {
-		releases[i] = res.Jobs[i].Release
-	}
-	// α: accumulate per-segment closed-form integrals.
-	for si := range res.Segments {
-		seg := &res.Segments[si]
-		alphaEpoch(alpha, releases, seg.Jobs, seg.Start, seg.End, k, seg.OverloadedAt(res.Machines))
-	}
-	return finishCertificate(res, k, eps, alpha), nil
-}
-
 // finishCertificate turns an accumulated α vector into the full checked
 // Certificate: ε·F^k subtraction and clamping, the closed-form β integral
 // and its step function, Lemma 1/2 checks, and the dual-constraint sweep.
-// It is the shared back half of Build and WitnessObserver.ObserveDone; the
+// WitnessObserver.ObserveDone calls it once the run's flows are final; the
 // certificate takes ownership of alpha.
 func finishCertificate(res *core.Result, k int, eps float64, alpha []float64) *Certificate {
 	n := len(res.Jobs)

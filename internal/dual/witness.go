@@ -13,13 +13,10 @@ import (
 var ErrWitnessIncomplete = errors.New("dual: witness run did not complete")
 
 // WitnessObserver accumulates the paper's dual variables online: α_j grows
-// epoch by epoch via the same closed-form integrals Build derives from
-// Segments, and the β side plus all feasibility checks run at ObserveDone.
-// Because it shares Build's accumulation (alphaEpoch) and finish
-// (finishCertificate) verbatim, the certificate it produces is
-// bitwise-identical to Build's on the same schedule — without ever
-// materializing the Segment timeline, so certifying a long run needs
-// O(jobs) memory instead of O(events).
+// epoch by epoch via closed-form integrals (alphaEpoch), and the β side
+// plus all feasibility checks run at ObserveDone (finishCertificate) —
+// without ever materializing the rate timeline, so certifying a long run
+// needs O(jobs) memory instead of O(events).
 //
 // The α prefix-sum construction reads each epoch's per-job alive list, so
 // the observer needs job epochs and routes engine dispatch to the
@@ -36,7 +33,7 @@ type WitnessObserver struct {
 }
 
 // NewWitnessObserver returns an observer for an m-machine run certifying
-// the ℓk objective with parameter eps (k ≥ 1, eps ∈ (0, 0.1], as Build).
+// the ℓk objective with parameter eps (k ≥ 1, eps ∈ (0, 0.1]).
 func NewWitnessObserver(k int, eps float64, machines int) (*WitnessObserver, error) {
 	if err := checkParams(k, eps); err != nil {
 		return nil, err
@@ -63,7 +60,7 @@ func (w *WitnessObserver) ObserveArrival(t float64, job int, j core.Job) {
 }
 
 // ObserveEpoch implements core.Observer: one rate-constant interval's
-// closed-form α contribution, exactly as Build accumulates it per segment.
+// closed-form α contribution.
 func (w *WitnessObserver) ObserveEpoch(e *core.Epoch) {
 	alphaEpoch(w.alpha, w.releases, e.Jobs, e.Start, e.End, w.k, len(e.Jobs) >= w.machines)
 }
@@ -72,7 +69,7 @@ func (w *WitnessObserver) ObserveEpoch(e *core.Epoch) {
 func (w *WitnessObserver) ObserveCompletion(t float64, job int, flow float64) {}
 
 // ObserveDone implements core.Observer: with flows and completions final,
-// the β construction and the constraint checks run as in Build.
+// the β construction and the constraint checks run.
 func (w *WitnessObserver) ObserveDone(res *core.Result) {
 	for len(w.alpha) < len(res.Jobs) {
 		w.alpha = append(w.alpha, 0)

@@ -93,8 +93,7 @@ func E6(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// BusyTime and OverloadedTime accumulate exactly the per-segment
-		// durations the old RecordSegments walk summed, epoch by epoch.
+		// BusyTime and OverloadedTime sum the epoch durations.
 		st := tl.Stats()
 		frac := 0.0
 		if st.BusyTime > 0 {

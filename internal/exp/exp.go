@@ -30,12 +30,6 @@ type Config struct {
 	// SJF, FCFS, StaticPriority) and the reference engine for everything
 	// else; EngineReference forces the step-based reference engine.
 	Engine core.EngineKind
-	// ForbidSegments makes any run that asks for RecordSegments fail: a
-	// guard that the suite's data paths all go through the streaming
-	// observer pipeline (DESIGN.md §13). The CI matrix runs the whole
-	// suite with this set; with it off, Segment recording remains
-	// available as an opt-in debugging mode.
-	ForbidSegments bool
 }
 
 // Table is a rendered experiment result.

@@ -10,12 +10,9 @@ import (
 	"testing"
 )
 
-// quickCfg is the suite configuration the tests run. The CI matrix sets
-// RRNORM_FORBID_SEGMENTS to run the whole suite with RecordSegments forced
-// off, proving every experiment's data path is the streaming observer
-// pipeline (any segment-recording run then fails loudly).
+// quickCfg is the suite configuration the tests run.
 func quickCfg() Config {
-	return Config{Seed: 42, Quick: true, ForbidSegments: os.Getenv("RRNORM_FORBID_SEGMENTS") != ""}
+	return Config{Seed: 42, Quick: true}
 }
 
 // cell parses a table cell as float.

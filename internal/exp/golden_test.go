@@ -2,15 +2,12 @@ package exp
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"rrnorm/internal/core"
-	"rrnorm/internal/policy"
-	"rrnorm/internal/workload"
 )
 
 // TestE5aGolden pins the fully deterministic starvation-fixture table
@@ -128,43 +125,6 @@ func TestE1E4GoldenUnderParallel(t *testing.T) {
 				t.Errorf("%s/%s: CSV differs between sequential and parallel runs", id, tid)
 			}
 		}
-	}
-}
-
-// TestE1E4GoldenObserverPath: forbidding RecordSegments (the CI matrix
-// leg's mode) must be byte-invisible on the E1–E4 CSVs, because the data
-// path is the streaming observer pipeline either way. A difference here
-// means some experiment silently still depends on recorded Segments.
-func TestE1E4GoldenObserverPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment suite in -short mode")
-	}
-	for _, id := range []string{"E1", "E2", "E3", "E4"} {
-		base := csvBytes(t, id, Config{Seed: 42, Quick: true})
-		noseg := csvBytes(t, id, Config{Seed: 42, Quick: true, ForbidSegments: true})
-		for tid, bb := range base {
-			if !bytes.Equal(bb, noseg[tid]) {
-				t.Errorf("%s/%s: CSV differs when RecordSegments is forbidden:\n--- default\n%s\n--- forbid\n%s",
-					id, tid, bb, noseg[tid])
-			}
-		}
-	}
-}
-
-// TestForbidSegmentsGuard: the guard actually guards — a RecordSegments
-// run under ForbidSegments fails instead of silently recording.
-func TestForbidSegmentsGuard(t *testing.T) {
-	cfg := Config{Seed: 1, Quick: true, ForbidSegments: true}
-	in := workload.RRStream(4, 1)
-	p, err := policy.New("RR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runEngine(cfg, in, p, core.Options{Machines: 1, Speed: 1, RecordSegments: true}); !errors.Is(err, errSegmentsForbidden) {
-		t.Fatalf("RecordSegments under ForbidSegments: %v", err)
-	}
-	if _, err := runEngine(cfg, in, p, core.Options{Machines: 1, Speed: 1}); err != nil {
-		t.Fatalf("segment-free run should pass: %v", err)
 	}
 }
 

@@ -11,8 +11,8 @@
 // Run is a drop-in replacement for core.Run that honors
 // core.Options.Engine: it dispatches to a fast path when one exists and
 // falls back to the reference engine for arbitrary Policy implementations
-// (or when RecordSegments demands the full rate timeline, which only the
-// reference engine produces).
+// (or when an observer such as core.SegmentRecorder needs per-job epochs,
+// which only the reference engine produces).
 //
 // Agreement with the reference engine — completion times, flows and
 // ℓk-norms within 1e-6 — is enforced by the differential-testing oracle
@@ -34,8 +34,8 @@ import (
 
 // ErrNoFastPath reports that core.Options required the fast engine
 // (EngineFast) but the policy/options combination has no fast path: a
-// policy outside RR/SRPT/SJF/FCFS/StaticPriority, segment recording, a
-// per-job-epoch observer, or a rank-based policy with PreemptCost > 0.
+// policy outside RR/SRPT/SJF/FCFS/StaticPriority, a per-job-epoch
+// observer, or a rank-based policy with PreemptCost > 0.
 var ErrNoFastPath = errors.New("fast: no fast path for policy/options")
 
 // ctxStride is the event interval between Options.Context cancellation
@@ -44,16 +44,16 @@ var ErrNoFastPath = errors.New("fast: no fast path for policy/options")
 const ctxStride = 256
 
 // Eligible reports whether the policy/options combination has a fast path:
-// one of the structured policies, with segment recording disabled (the rate
-// timeline is only produced by the reference engine) and no observer that
-// needs per-job epochs (the fast paths emit aggregate-only epochs). Every
+// one of the structured policies, with no observer that needs per-job
+// epochs (the fast paths emit aggregate-only epochs; the per-job rate
+// timeline is only produced by the reference engine). Every
 // structured policy is eligible under explicit Speeds — RR's fair share is a
 // per-alive-count scalar (water-filling), and the rank-based paths run the
 // r-th ranked job on the r-th fastest machine — but the rank-based ones
 // only with PreemptCost == 0: a preemption charge makes remaining work jump
 // at displacement, which their drain does not model. RR never pays it.
 func Eligible(p core.Policy, opts core.Options) bool {
-	if opts.RecordSegments || core.ObserverNeedsJobEpochs(opts.Observer) {
+	if core.ObserverNeedsJobEpochs(opts.Observer) {
 		return false
 	}
 	switch p.(type) {
@@ -68,8 +68,8 @@ func Eligible(p core.Policy, opts core.Options) bool {
 // noFastPath is the EngineFast refusal for an ineligible combination,
 // naming every input Eligible consults.
 func noFastPath(p core.Policy, opts core.Options) error {
-	return fmt.Errorf("%w: policy %s (RecordSegments=%v, observer needs job epochs=%v, PreemptCost=%g)",
-		ErrNoFastPath, p.Name(), opts.RecordSegments, core.ObserverNeedsJobEpochs(opts.Observer), opts.MachineModel.PreemptCost)
+	return fmt.Errorf("%w: policy %s (observer needs job epochs=%v, PreemptCost=%g)",
+		ErrNoFastPath, p.Name(), core.ObserverNeedsJobEpochs(opts.Observer), opts.MachineModel.PreemptCost)
 }
 
 // Run simulates the policy on the instance, honoring opts.Engine:

@@ -14,8 +14,8 @@ type Epoch struct {
 
 // Result mirrors core.Result: pooled, recycled into the next run.
 type Result struct {
-	Flow     []float64
-	Segments []int
+	Flow []float64
+	Jobs []int
 }
 
 // Job mirrors core.Job: scalars only, safe to store by value.
@@ -60,7 +60,7 @@ func (s *streamer) ObserveCompletion(t float64, job int, flow float64) {
 
 // ObserveDone reduces the result without retaining it. Allowed.
 func (s *streamer) ObserveDone(res *Result) {
-	jobs := res.Segments
+	jobs := res.Jobs
 	for range jobs {
 		s.n++
 	}

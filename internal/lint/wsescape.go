@@ -151,7 +151,7 @@ func (w *wsescapeRun) checkFunc(fd *ast.FuncDecl) {
 			return false
 		}
 		// A range binding stays tainted only if the bound element itself
-		// retains memory (ranging over Segments yields sliceful Segment
+		// retains memory (ranging over a []Segment yields sliceful Segment
 		// values; ranging over Flow yields clean float64s).
 		if d.Kind == DefDecl {
 			return d.Obj.Type() != nil && holdsSlices(d.Obj.Type(), make(map[types.Type]bool))

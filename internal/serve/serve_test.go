@@ -19,6 +19,7 @@ import (
 	"rrnorm"
 	"rrnorm/internal/core"
 	"rrnorm/internal/polspec"
+	"rrnorm/internal/stats"
 	"rrnorm/internal/workload"
 )
 
@@ -406,7 +407,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 // TestSimulateTimeline: the timeline block is computed by a streaming
 // observer attached to the run — no server-side Segment recording — and
-// must agree with the Segment-derived ComputeTimeStats of the same
+// must agree with a TimelineObserver on a reference-engine run of the same
 // deterministic schedule. Requesting it must not perturb any other
 // response field, and timeline/non-timeline twins must be distinct cache
 // entries.
@@ -438,8 +439,7 @@ func TestSimulateTimeline(t *testing.T) {
 		t.Fatalf("timeline request perturbed the response:\n%+v\n%+v", a, b)
 	}
 
-	// Cross-check against the Segment-derived stats of a recorded
-	// reference run of the same request.
+	// Cross-check against a reference-engine run of the same request.
 	in, err := workload.FromSpec("poisson:n=60,load=0.9", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -448,15 +448,15 @@ func TestSimulateTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(in, p, core.Options{Machines: 2, Speed: 1, RecordSegments: true})
-	if err != nil {
+	ref := stats.NewTimelineObserver(2)
+	if _, err := core.Run(in, p, core.Options{Machines: 2, Speed: 1, Observer: ref}); err != nil {
 		t.Fatal(err)
 	}
-	want := core.ComputeTimeStats(res)
+	want := ref.Stats()
 	close := func(got, w float64, what string) {
 		t.Helper()
 		if d := math.Abs(got - w); d > 1e-6*(1+math.Max(math.Abs(got), math.Abs(w))) {
-			t.Errorf("%s: served %v vs segment-derived %v", what, got, w)
+			t.Errorf("%s: served %v vs reference %v", what, got, w)
 		}
 	}
 	close(tl.Start, want.Start, "start")

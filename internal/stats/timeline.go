@@ -9,17 +9,12 @@ type TimePoint struct {
 	N int
 }
 
-// TimelineObserver accumulates core.ComputeTimeStats' time-averaged
-// quantities — average and peak n_t, utilization, busy time and busy-period
-// count, and the overloaded time |T_o| (t with n_t ≥ m) — from the epoch
-// stream in one pass, using only each epoch's aggregates. It therefore
-// works on both engines (no per-job epochs needed) and in O(1) state where
-// the Segment-derived ComputeTimeStats needs the full recorded timeline.
-//
-// The busy-period gap test and every accumulation reproduce
-// ComputeTimeStats' arithmetic exactly, so on the reference engine the two
-// agree to the last bit; across engines the differential harness checks
-// them at 1e-6.
+// TimelineObserver accumulates core.TimeStats' time-averaged quantities —
+// average and peak n_t, utilization, busy time and busy-period count, and
+// the overloaded time |T_o| (t with n_t ≥ m) — from the epoch stream in
+// one pass, using only each epoch's aggregates. It therefore works on both
+// engines (no per-job epochs needed) and in O(1) state; across engines the
+// differential harness checks it at 1e-6.
 //
 // With KeepTrajectory set before the run, the observer additionally
 // records the n_t trajectory — one TimePoint per change of the alive
@@ -63,8 +58,8 @@ func (o *TimelineObserver) ObserveArrival(t float64, job int, j core.Job) {}
 // folded into every accumulator.
 func (o *TimelineObserver) ObserveEpoch(e *core.Epoch) {
 	d := e.End - e.Start
-	// Same gap test as ComputeTimeStats: a new busy period starts at the
-	// first epoch and whenever the timeline jumps past float dust.
+	// A new busy period starts at the first epoch and whenever the
+	// timeline jumps past float dust.
 	if !o.started || e.Start > o.prevEnd+1e-12*(1+e.Start) {
 		o.busyPeriods++
 	}
@@ -96,9 +91,8 @@ func (o *TimelineObserver) ObserveCompletion(t float64, job int, flow float64) {
 // ObserveDone implements core.Observer.
 func (o *TimelineObserver) ObserveDone(res *core.Result) {}
 
-// Stats returns the accumulated quantities in ComputeTimeStats' shape,
-// including its degenerate-input behavior (no epochs, or a zero-length
-// horizon, yield zeroed derived fields).
+// Stats returns the accumulated quantities. No epochs, or a zero-length
+// horizon, yield zeroed derived fields.
 func (o *TimelineObserver) Stats() core.TimeStats {
 	var ts core.TimeStats
 	if !o.started {

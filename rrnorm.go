@@ -31,6 +31,7 @@ import (
 	"rrnorm/internal/lp"
 	"rrnorm/internal/metrics"
 	"rrnorm/internal/policy"
+	"rrnorm/internal/stats"
 	"rrnorm/internal/workload"
 )
 
@@ -168,6 +169,24 @@ type Observer = core.Observer
 // an Observer — the streaming counterpart of a recorded Segment.
 type Epoch = core.Epoch
 
+// Segment is one rate-constant interval of a recorded timeline: [Start,
+// End), the alive jobs (indices into Result.Jobs) and their rates.
+type Segment = core.Segment
+
+// SegmentRecorder is an Observer that records a run's full rate timeline
+// in its Segments field — the input of FractionalFlows and Gantt. It needs
+// per-job epochs, so runs carrying it go to the reference engine. Use a
+// fresh recorder per run.
+type SegmentRecorder = core.SegmentRecorder
+
+// TimelineObserver is an Observer that accumulates time-average
+// statistics (alive count, utilization, busy periods, overload time) in
+// O(1) state on either engine; read them with Stats after the run.
+type TimelineObserver = stats.TimelineObserver
+
+// NewTimelineObserver returns a TimelineObserver for an m-machine run.
+func NewTimelineObserver(m int) *TimelineObserver { return stats.NewTimelineObserver(m) }
+
 // StreamNorm is an Observer that accumulates ℓk norms and k-th power sums
 // of flow time online, in O(#ks) state: attach one via Options.Observer
 // and a million-job run needs neither Result.Flow post-processing nor a
@@ -233,10 +252,8 @@ func LowerBound(in *Instance, m, k int) (float64, error) {
 // schedule.
 func Certify(in *Instance, m, k int, eps float64) (*Certificate, error) {
 	// The witness observer builds the certificate during the run — no
-	// Segment timeline — and produces certificates identical to recording
-	// + dual.Build (pinned by the differential tests in internal/check).
-	// It needs per-job epochs, so the dispatcher routes it to the
-	// reference engine, exactly as RecordSegments was.
+	// Segment timeline. It needs per-job epochs, so the dispatcher routes
+	// it to the reference engine.
 	w, err := dual.NewWitnessObserver(k, eps, m)
 	if err != nil {
 		return nil, err
@@ -248,16 +265,14 @@ func Certify(in *Instance, m, k int, eps float64) (*Certificate, error) {
 }
 
 // FractionalFlows computes per-job fractional flow times
-// ∫ (remaining fraction) dt from a recorded schedule (RecordSegments).
-func FractionalFlows(res *Result) ([]float64, error) { return core.FractionalFlows(res) }
+// ∫ (remaining fraction) dt from a run's timeline (see SegmentRecorder).
+func FractionalFlows(res *Result, segs []Segment) []float64 { return core.FractionalFlows(res, segs) }
 
-// Gantt renders a recorded schedule as an ASCII chart (one row per job,
+// Gantt renders a run's timeline as an ASCII chart (one row per job,
 // glyph darkness ∝ rate).
-func Gantt(res *Result, width int) string { return core.RenderGantt(res, width) }
-
-// TimeStats derives time-average statistics (alive count, utilization,
-// busy periods, overload time) from a recorded schedule.
-func TimeStats(res *Result) core.TimeStats { return core.ComputeTimeStats(res) }
+func Gantt(res *Result, segs []Segment, width int) string {
+	return core.RenderGantt(res, segs, width)
+}
 
 // WeightedLkNorm returns (Σ w_j F_j^k)^{1/k}; zero weights default to 1.
 func WeightedLkNorm(flows, weights []float64, k int) float64 {
