@@ -17,8 +17,8 @@ import (
 // models — RR on water-filling shares, the rank policies on the rank-array
 // drain, with the preemption cost zeroed since it has no fast path — so the
 // differential tests pin both drains: fast vs reference here, output bits
-// in TestBatchedWallHeteroBulk. The property tests below cover every
-// machine-aware policy, HYBRID through the reference engine.
+// in TestBatchedWallHeteroBulk. The property tests below cover RR, the rank
+// policies and HYBRID, HYBRID through the reference engine.
 
 // TestEnginesAgreeHeteroBulk holds fast-vs-reference to the 1e-6
 // completion bar for every fast-path policy across 1200 random instances
@@ -82,8 +82,8 @@ func TestEnginesAgreeHeteroLarge(t *testing.T) {
 
 // TestHeteroFlowLowerBound is the generalized per-job bound: a job runs on
 // at most one machine at a time, so its flow is at least
-// Size/(maxSpeed·speed) under any policy. Checked for every machine-aware
-// policy over random instances and models (HYBRID routes to the reference
+// Size/(maxSpeed·speed) under any policy. Checked for RR, SRPT, FCFS and
+// HYBRID over random instances and models (HYBRID routes to the reference
 // engine automatically).
 func TestHeteroFlowLowerBound(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {

@@ -19,8 +19,10 @@ package core
 //   - ObserveEpoch fires for every maximal interval [Start, End) over
 //     which the engine's alive set and rates are constant, in
 //     chronological order; epochs never overlap, cover exactly the busy
-//     time, and follow the arrivals at their start time. Zero-length
-//     epochs are never emitted.
+//     time, and follow the arrivals at their start time. End ≥ Start;
+//     End == Start (a zero-length epoch) occurs only in the reference
+//     engine at magnitudes where float64 time cannot advance (see Epoch),
+//     so observers must not divide by an epoch's duration unguarded.
 //   - ObserveCompletion fires once per job at its completion time, after
 //     the epoch that completed it.
 //   - ObserveDone fires exactly once, after the final completion, with

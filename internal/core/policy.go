@@ -22,13 +22,21 @@ type JobView struct {
 // or completion.
 const NoHorizon = 0
 
-// Policy decides instantaneous machine shares for alive jobs.
+// Policy decides instantaneous machine rates for alive jobs.
 //
-// Rates must fill rates[i] ∈ [0,1] for jobs[i] with Σ rates ≤ m. The slices
-// jobs and rates have equal length; rates arrives zeroed. speed is the
-// engine's resource-augmentation factor (work accrues at rate·speed), which
-// policies need only to convert internal work-based deadlines into the
-// wall-clock horizon they return.
+// Rates fills rates[i] for jobs[i] with a rate vector feasible on env: each
+// rate in [0, env.MaxSpeed()] (a job runs on at most one machine at a
+// time), and the k largest rates summing to at most env.PrefixSpeed(k) for
+// every k (any k jobs jointly use at most the k fastest machines). On
+// identical unit machines (env.Identical(), the paper's setting) that is
+// rates[i] ∈ [0,1] with Σ rates ≤ env.M: rates are machine shares. The
+// slices jobs and rates have equal length; rates arrives zeroed.
+// env.Speed is the engine's resource-augmentation factor (work accrues at
+// rate·Speed), which policies need only to convert internal work-based
+// deadlines into the wall-clock horizon they return. env answers every
+// machine question a policy needs — FairShare for equal splits, RankSpeed
+// for the r-th fastest machine, ProfileIntegral for tiered fills — with
+// the identical-machine expressions when env.Identical().
 //
 // The returned horizon, if positive, is the maximum wall-clock duration for
 // which these rates may be used before the policy must be consulted again
@@ -37,11 +45,11 @@ const NoHorizon = 0
 // NoHorizon when rates remain valid until the next arrival or completion.
 //
 // The jobs slice is ordered by (Release, ID) and views are recomputed at
-// every invocation; policies must not retain the slices.
+// every invocation; policies must not retain the slices or env.
 type Policy interface {
 	Name() string
 	Clairvoyant() bool
-	Rates(now float64, jobs []JobView, m int, speed float64, rates []float64) (horizon float64)
+	Rates(now float64, jobs []JobView, env *MachineEnv, rates []float64) (horizon float64)
 }
 
 // Resetter is implemented by stateful policies (e.g. MLFQ) that must be

@@ -68,7 +68,7 @@ type refScratch struct {
 	alivePrev []float64 // previous-step rates (preempt-cost tracking; only when PreemptCost > 0)
 	views     []JobView
 	rates     []float64
-	rateSort  []float64  // checkRatesUniform's sort buffer (heterogeneous models only)
+	rateSort  []float64  // checkRates' sort buffer (heterogeneous models only)
 	env       MachineEnv // the run's machine environment, rebuilt each run on reused buffers
 }
 

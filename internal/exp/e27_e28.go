@@ -13,9 +13,9 @@ import (
 
 // normsUnderModel runs the named policy on in under the given machine model
 // and returns the streaming ℓ1/ℓ2/ℓ3 flow norms from one pass. The engine is
-// cfg-selected as everywhere else in the suite: RR keeps its fast path under
-// heterogeneous speeds, rank-based policies fall back to the reference engine
-// via their MachineAware rates.
+// cfg-selected as everywhere else in the suite: policies with a fast path
+// keep it under heterogeneous speeds, the rest run their rates on the speed
+// profile in the reference engine.
 func normsUnderModel(cfg Config, in *core.Instance, name string, m int, mm core.Machines) ([3]float64, error) {
 	var out [3]float64
 	p, err := policy.New(name)
@@ -50,7 +50,7 @@ func E27(cfg Config) ([]*Table, error) {
 		Notes: []string{
 			"all models have total speed Σ s_i = m = 4; 'identical' is the paper's model",
 			"l2_vs_identical = ℓ2 under the model / ℓ2 on identical machines (same policy)",
-			"RR shares follow the water-filling rule; rank policies run their MachineAware rates",
+			"RR shares follow the water-filling rule; rank policies run their k-th ranked job on the k-th fastest machine",
 		},
 	}
 	const m = 4

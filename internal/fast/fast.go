@@ -26,7 +26,6 @@ package fast
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"rrnorm/internal/core"
 	"rrnorm/internal/policy"
@@ -109,13 +108,7 @@ func RunWS(in *core.Instance, p core.Policy, opts core.Options, ws *core.Workspa
 		return core.RunWS(in, p, opts, ws)
 	}
 	// Same input contract as core.Run.
-	if opts.Machines < 1 {
-		return nil, fmt.Errorf("%w: Machines=%d", core.ErrBadOptions, opts.Machines)
-	}
-	if !(opts.Speed > 0) || math.IsInf(opts.Speed, 0) {
-		return nil, fmt.Errorf("%w: Speed=%v", core.ErrBadOptions, opts.Speed)
-	}
-	if err := core.ValidateMachineOptions(p, opts); err != nil {
+	if err := core.ValidateOptions(opts); err != nil {
 		return nil, err
 	}
 	if ws == nil {
@@ -165,13 +158,7 @@ func RunStream(src core.JobSource, p core.Policy, opts core.Options, ws *core.Wo
 		return core.RunStream(src, p, opts, ws)
 	}
 	// Same input contract as core.RunStream.
-	if opts.Machines < 1 {
-		return core.StreamResult{}, fmt.Errorf("%w: Machines=%d", core.ErrBadOptions, opts.Machines)
-	}
-	if !(opts.Speed > 0) || math.IsInf(opts.Speed, 0) {
-		return core.StreamResult{}, fmt.Errorf("%w: Speed=%v", core.ErrBadOptions, opts.Speed)
-	}
-	if err := core.ValidateMachineOptions(p, opts); err != nil {
+	if err := core.ValidateOptions(opts); err != nil {
 		return core.StreamResult{}, err
 	}
 	if ws == nil {
@@ -203,7 +190,7 @@ func dispatch(p core.Policy, cur *core.Cursor, res *core.Result, sum *core.Strea
 	core.BuildMachineEnv(&opts, &s.env)
 	switch pp := p.(type) {
 	case policy.RR, *policy.RR:
-		r := rrRun{cur: cur, res: res, sum: sum, h: &s.rrHeap, m: opts.Machines, speed: opts.Speed, obs: opts.Observer, ep: &s.epoch, env: &s.env, hetero: !s.env.Identical()}
+		r := rrRun{cur: cur, res: res, sum: sum, h: &s.rrHeap, speed: opts.Speed, obs: opts.Observer, ep: &s.epoch, env: &s.env}
 		return runRR(&r, opts, s)
 	case *policy.SRPT:
 		r := topmRun{cur: cur, res: res, sum: sum, s: s, obs: opts.Observer, km: keyNone, het: s.prepareTopM(ordSRPT, false)}

@@ -18,14 +18,11 @@ type rrRun struct {
 	h     *queue.JobHeap
 	now   float64
 	V     float64 // cumulative per-job fair share
-	m     int
 	speed float64
 
-	// env/hetero select the generalized fair share on uniform machines
-	// (env.FairShare in place of min(1, m/alive)); the identical path keeps
-	// its historical expressions verbatim.
-	env    *core.MachineEnv
-	hetero bool
+	// env gives RR's per-job share, env.FairShare(alive): min(1, m/alive)
+	// on identical machines, the water-filling share on uniform ones.
+	env *core.MachineEnv
 
 	obs core.Observer // nil when no observer attached
 	ep  *core.Epoch   // workspace-held epoch for allocation-free dispatch
@@ -110,14 +107,8 @@ func runRR(r *rrRun, opts core.Options, s *scratch) error {
 	r.complete()
 	events := 1
 	h := r.h
-	m, speed := r.m, r.speed
-	hetero := r.hetero
-	var ratio, shares *[rateTabSize]float64
-	if hetero {
-		shares = (*[rateTabSize]float64)(s.fairShares(r.env))
-	} else {
-		ratio = (*[rateTabSize]float64)(s.rateRatios(m))
-	}
+	speed := r.speed
+	shares := (*[rateTabSize]float64)(s.fairShares(r.env))
 	exact := r.obs != nil && !core.ObserverCoarseEpochsOK(r.obs)
 	coarse := r.obs != nil && !exact
 	var batchStart float64
@@ -138,24 +129,14 @@ func runRR(r *rrRun, opts core.Options, s *scratch) error {
 		// beat them, until the heap empties.
 		for h.Len() > 0 {
 			alive := h.Len()
-			// rate = speed · min(1, m/alive); the m/alive quotient comes
-			// from the scratch's bit-exact table (see rateRatios) — a load
-			// in place of a hardware divide on the critical path. Under a
-			// heterogeneous model the share table generalizes to
-			// env.FairShare(alive) for every alive count (see fairShares).
-			rate := speed
-			if hetero {
-				if alive < rateTabSize {
-					rate = speed * shares[alive]
-				} else {
-					rate = speed * r.env.FairShare(alive)
-				}
-			} else if alive > m {
-				if alive < rateTabSize {
-					rate *= ratio[alive]
-				} else {
-					rate *= float64(m) / float64(alive)
-				}
+			// rate = speed · env.FairShare(alive); the share comes from the
+			// scratch's bit-exact table (see fairShares) — a load in place
+			// of a hardware divide on the critical path.
+			var rate float64
+			if alive < rateTabSize {
+				rate = speed * shares[alive]
+			} else {
+				rate = speed * r.env.FairShare(alive)
 			}
 			minKey := h.Min().Key
 			tC := r.now + (minKey-r.V)/rate

@@ -111,31 +111,9 @@ func (*Gittins) Name() string { return "GITTINS" }
 // not individual sizes, so it is non-clairvoyant in the paper's sense.
 func (*Gittins) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (g *Gittins) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	n := len(jobs)
-	rank := make([]float64, n)
-	for i, j := range jobs {
-		rank[i] = g.Rank(j.Elapsed)
-	}
-	g.buf.topM(n, m, rates, func(a, b int) bool {
-		if rank[a] != rank[b] {
-			return rank[a] > rank[b] // highest index first
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	// Ranks drift with attained service; re-plan on a coarse horizon
-	// proportional to the grid step so crossings are caught promptly.
-	return 4 * g.step / math.Max(speed, 1e-9)
-}
-
-// RatesEnv implements core.MachineAware: the job with the i-th highest
-// Gittins index runs on the i-th fastest machine; the review horizon is
-// scaled to the fastest machine so grid crossings are still caught.
-func (g *Gittins) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+// Rates implements core.Policy: the job with the i-th highest Gittins
+// index runs on the i-th fastest machine.
+func (g *Gittins) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	n := len(jobs)
 	rank := make([]float64, n)
 	for i, j := range jobs {
@@ -150,6 +128,9 @@ func (g *Gittins) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEn
 		}
 		return jobs[a].ID < jobs[b].ID
 	})
+	// Ranks drift with attained service; re-plan on a coarse horizon
+	// proportional to the grid step, scaled to the fastest machine, so
+	// crossings are caught promptly.
 	return 4 * g.step / math.Max(env.MaxSpeed()*env.Speed, 1e-9)
 }
 

@@ -96,18 +96,19 @@ func (p *Hybrid) srptOrder(jobs []core.JobView) []int {
 	return p.srpt.idx
 }
 
-// blend writes the convex-combination rates given the SRPT ranking and a
-// rank→capacity mapping, then returns the re-plan horizon.
-func (p *Hybrid) blend(jobs []core.JobView, order []int, rankCap func(r int) float64, speed float64, rates []float64) float64 {
+// blend writes the convex-combination rates given the SRPT ranking, rank r
+// getting the r-th fastest machine under each ranking, then returns the
+// re-plan horizon.
+func (p *Hybrid) blend(jobs []core.JobView, order []int, env *core.MachineEnv, rates []float64) float64 {
 	n := len(jobs)
 	θ := p.Theta
 	// FCFS rank of job i is i: the engine provides jobs in (Release, ID)
 	// order (the same assumption LAPS makes).
 	for i := 0; i < n; i++ {
-		rates[i] = θ * rankCap(i)
+		rates[i] = θ * env.RankSpeed(i)
 	}
 	for r, i := range order {
-		rates[i] += (1 - θ) * rankCap(r)
+		rates[i] += (1 - θ) * env.RankSpeed(r)
 	}
 
 	horizon := math.Inf(1)
@@ -135,7 +136,7 @@ func (p *Hybrid) blend(jobs []core.JobView, order []int, rankCap func(r int) flo
 			continue
 		}
 		gap := jobs[b].Remaining - jobs[a].Remaining
-		if h := gap / (dRate * speed); h > 1e-12 && h < horizon {
+		if h := gap / (dRate * env.Speed); h > 1e-12 && h < horizon {
 			horizon = h
 		}
 	}
@@ -145,20 +146,9 @@ func (p *Hybrid) blend(jobs []core.JobView, order []int, rankCap func(r int) flo
 	return horizon
 }
 
-// Rates implements core.Policy.
-func (p *Hybrid) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
+// Rates implements core.Policy: each ranking assigns its r-th job the r-th
+// fastest machine (env.RankSpeed) before blending.
+func (p *Hybrid) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	order := p.srptOrder(jobs)
-	return p.blend(jobs, order, func(r int) float64 {
-		if r < m {
-			return 1
-		}
-		return 0
-	}, speed, rates)
-}
-
-// RatesEnv implements core.MachineAware: each ranking assigns its r-th job
-// the r-th fastest machine's speed before blending.
-func (p *Hybrid) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	order := p.srptOrder(jobs)
-	return p.blend(jobs, order, env.RankSpeed, env.Speed, rates)
+	return p.blend(jobs, order, env, rates)
 }

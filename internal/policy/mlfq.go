@@ -45,47 +45,10 @@ func (p *MLFQ) levelEnd(q int) float64 {
 	return p.BaseQuantum * (math.Pow(2, float64(q+1)) - 1)
 }
 
-// Rates implements core.Policy.
-func (p *MLFQ) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	n := len(jobs)
-	levels := make([]int, n)
-	for i, j := range jobs {
-		levels[i] = p.level(j.Elapsed)
-	}
-	p.buf.topM(n, m, rates, func(a, b int) bool {
-		if levels[a] != levels[b] {
-			return levels[a] < levels[b]
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	// Horizon: the first moment a running job crosses its level threshold
-	// and gets demoted.
-	horizon := math.Inf(1)
-	for i := range jobs {
-		if rates[i] <= 0 {
-			continue
-		}
-		gap := p.levelEnd(levels[i]) - jobs[i].Elapsed
-		if gap <= 1e-12 {
-			continue
-		}
-		if h := gap / (rates[i] * speed); h < horizon {
-			horizon = h
-		}
-	}
-	if math.IsInf(horizon, 1) {
-		return core.NoHorizon
-	}
-	return horizon
-}
-
-// RatesEnv implements core.MachineAware: lower levels still have strict
-// priority, with the k-th ranked job on the k-th fastest machine; the
-// demotion horizon accounts for each job's machine-dependent work rate.
-func (p *MLFQ) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+// Rates implements core.Policy: lower levels have strict priority, with the
+// k-th ranked job on the k-th fastest machine; the demotion horizon
+// accounts for each job's machine-dependent work rate.
+func (p *MLFQ) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	n := len(jobs)
 	levels := make([]int, n)
 	for i, j := range jobs {
@@ -100,6 +63,8 @@ func (p *MLFQ) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, 
 		}
 		return jobs[a].ID < jobs[b].ID
 	})
+	// Horizon: the first moment a running job crosses its level threshold
+	// and gets demoted.
 	horizon := math.Inf(1)
 	for i := range jobs {
 		if rates[i] <= 0 {

@@ -16,6 +16,17 @@ func approx(t *testing.T, got, want, tol float64, msg string) {
 	}
 }
 
+// identical returns the machine env of m identical unit machines at speed 1.
+func identical(m int) *core.MachineEnv { return &core.MachineEnv{M: m, Speed: 1} }
+
+// uniform returns the machine env of the given machine speeds at speed 1.
+func uniform(speeds ...float64) *core.MachineEnv {
+	opts := core.Options{Machines: len(speeds), Speed: 1, MachineModel: core.Machines{Speeds: speeds}}
+	var env core.MachineEnv
+	core.BuildMachineEnv(&opts, &env)
+	return &env
+}
+
 func run(t *testing.T, in *core.Instance, p core.Policy, m int, speed float64) *core.Result {
 	t.Helper()
 	var rec core.SegmentRecorder
@@ -32,12 +43,12 @@ func run(t *testing.T, in *core.Instance, p core.Policy, m int, speed float64) *
 func TestRRShares(t *testing.T) {
 	jobs := []core.JobView{{ID: 0}, {ID: 1}, {ID: 2}}
 	rates := make([]float64, 3)
-	NewRR().Rates(0, jobs, 2, 1, rates)
+	NewRR().Rates(0, jobs, identical(2), rates)
 	for i, r := range rates {
 		approx(t, r, 2.0/3.0, 1e-12, "RR share "+string(rune('0'+i)))
 	}
 	rates = make([]float64, 3)
-	NewRR().Rates(0, jobs, 5, 1, rates)
+	NewRR().Rates(0, jobs, identical(5), rates)
 	for _, r := range rates {
 		approx(t, r, 1, 1e-12, "RR underloaded share")
 	}
@@ -97,14 +108,14 @@ func TestSETFMultiMachineWaterfill(t *testing.T) {
 	// sharing 2 machines → rate 2/3 each.
 	jobs := []core.JobView{{ID: 0}, {ID: 1}, {ID: 2}}
 	rates := make([]float64, 3)
-	NewSETF().Rates(0, jobs, 2, 1, rates)
+	NewSETF().Rates(0, jobs, identical(2), rates)
 	for _, r := range rates {
 		approx(t, r, 2.0/3.0, 1e-12, "group share")
 	}
 	// Distinct elapsed levels: lowest gets 1, next gets 1, last gets 0.
 	jobs = []core.JobView{{ID: 0, Elapsed: 0.5}, {ID: 1, Elapsed: 0.1}, {ID: 2, Elapsed: 0.9}}
 	rates = make([]float64, 3)
-	NewSETF().Rates(0, jobs, 2, 1, rates)
+	NewSETF().Rates(0, jobs, identical(2), rates)
 	approx(t, rates[1], 1, 1e-12, "least elapsed")
 	approx(t, rates[0], 1, 1e-12, "second least")
 	approx(t, rates[2], 0, 1e-12, "most elapsed")
@@ -114,8 +125,8 @@ func TestLAPSBetaOneIsRR(t *testing.T) {
 	jobs := []core.JobView{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}}
 	a := make([]float64, 4)
 	b := make([]float64, 4)
-	NewLAPS(1).Rates(0, jobs, 2, 1, a)
-	NewRR().Rates(0, jobs, 2, 1, b)
+	NewLAPS(1).Rates(0, jobs, identical(2), a)
+	NewRR().Rates(0, jobs, identical(2), b)
 	for i := range a {
 		approx(t, a[i], b[i], 1e-12, "LAPS(1) == RR")
 	}
@@ -126,7 +137,7 @@ func TestLAPSFavorsLatest(t *testing.T) {
 		{ID: 0, Release: 0}, {ID: 1, Release: 1}, {ID: 2, Release: 2}, {ID: 3, Release: 3},
 	}
 	rates := make([]float64, 4)
-	NewLAPS(0.5).Rates(3, jobs, 1, 1, rates)
+	NewLAPS(0.5).Rates(3, jobs, identical(1), rates)
 	approx(t, rates[0], 0, 1e-12, "oldest gets nothing")
 	approx(t, rates[1], 0, 1e-12, "second oldest gets nothing")
 	approx(t, rates[2], 0.5, 1e-12, "latest pair shares")
@@ -139,7 +150,7 @@ func TestWRRProportionalToAge(t *testing.T) {
 		{ID: 1, Release: 2, Age: 1},
 	}
 	rates := make([]float64, 2)
-	NewWRR(0.01).Rates(3, jobs, 1, 1, rates)
+	NewWRR(0.01).Rates(3, jobs, identical(1), rates)
 	approx(t, rates[0], 0.75, 1e-12, "older job share")
 	approx(t, rates[1], 0.25, 1e-12, "younger job share")
 }
@@ -151,7 +162,7 @@ func TestWRRCapsAtOne(t *testing.T) {
 		{ID: 2, Age: 1},
 	}
 	rates := make([]float64, 3)
-	NewWRR(0.01).Rates(100, jobs, 2, 1, rates)
+	NewWRR(0.01).Rates(100, jobs, identical(2), rates)
 	approx(t, rates[0], 1, 1e-12, "dominant age capped at 1")
 	approx(t, rates[1], 0.5, 1e-12, "rest split remaining machine")
 	approx(t, rates[2], 0.5, 1e-12, "rest split remaining machine")
@@ -218,9 +229,12 @@ func TestRegistry(t *testing.T) {
 
 // TestNonclairvoyantPoliciesIgnoreSizes is the paper's non-clairvoyance
 // contract as a property test: perturbing Size/Remaining must not change the
-// rates of any non-clairvoyant policy.
+// rates of any non-clairvoyant policy, on identical machines and on a
+// seeded uniform-speed env alike.
 func TestNonclairvoyantPoliciesIgnoreSizes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
+	srng := rand.New(rand.NewPCG(7, 8)) // speeds: keeps rng's trials as they were
+	palette := []float64{0.25, 0.5, 1, 1.5, 2, 4}
 	for _, name := range Names() {
 		p, _ := New(name)
 		if p.Clairvoyant() {
@@ -248,16 +262,22 @@ func TestNonclairvoyantPoliciesIgnoreSizes(t *testing.T) {
 				alt[i].Size = elapsed + rng.Float64()*50
 				alt[i].Remaining = rng.Float64() * 50
 			}
-			r1 := make([]float64, n)
-			r2 := make([]float64, n)
-			h1 := p.Rates(now, jobs, m, 1, r1)
-			h2 := p.Rates(now, alt, m, 1, r2)
-			if h1 != h2 {
-				t.Fatalf("%s: horizon depends on sizes (%v vs %v)", name, h1, h2)
+			speeds := make([]float64, m)
+			for i := range speeds {
+				speeds[i] = palette[srng.IntN(len(palette))]
 			}
-			for i := range r1 {
-				if r1[i] != r2[i] {
-					t.Fatalf("%s trial %d: rate[%d] depends on sizes (%v vs %v)", name, trial, i, r1[i], r2[i])
+			for _, env := range []*core.MachineEnv{identical(m), uniform(speeds...)} {
+				r1 := make([]float64, n)
+				r2 := make([]float64, n)
+				h1 := p.Rates(now, jobs, env, r1)
+				h2 := p.Rates(now, alt, env, r2)
+				if h1 != h2 {
+					t.Fatalf("%s speeds=%v: horizon depends on sizes (%v vs %v)", name, env.SortedSpeeds(), h1, h2)
+				}
+				for i := range r1 {
+					if r1[i] != r2[i] {
+						t.Fatalf("%s trial %d speeds=%v: rate[%d] depends on sizes (%v vs %v)", name, trial, env.SortedSpeeds(), i, r1[i], r2[i])
+					}
 				}
 			}
 		}

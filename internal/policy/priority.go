@@ -40,30 +40,9 @@ func (p *StaticPriority) PriorityOf(id int) float64 {
 // knowledge, so it is classified clairvoyant).
 func (*StaticPriority) Clairvoyant() bool { return true }
 
-// Rates implements core.Policy.
-func (p *StaticPriority) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	pr := func(i int) float64 {
-		if v, ok := p.prio[jobs[i].ID]; ok {
-			return v
-		}
-		return math.Inf(1)
-	}
-	p.buf.topM(len(jobs), m, rates, func(a, b int) bool {
-		pa, pb := pr(a), pr(b)
-		if pa != pb {
-			return pa < pb
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware: the k-th ranked job runs on the
-// k-th fastest machine.
-func (p *StaticPriority) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+// Rates implements core.Policy: the k-th ranked job runs on the k-th
+// fastest machine.
+func (p *StaticPriority) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	pr := func(i int) float64 {
 		if v, ok := p.prio[jobs[i].ID]; ok {
 			return v

@@ -8,8 +8,8 @@ import (
 )
 
 // rankBuf is a reusable index buffer for rank-based policies (SRPT, SJF,
-// FCFS, LAPS, MLFQ) that assign full machines to the top-m jobs under some
-// order.
+// FCFS, MLFQ, GITTINS, …) that assign the machines to the top-m jobs under
+// some order.
 type rankBuf struct {
 	idx []int
 }
@@ -37,24 +37,25 @@ func (b *rankBuf) rank(n int, less func(a, b int) bool) {
 	})
 }
 
-// topM ranks jobs 0..n-1 by less and assigns rate 1 to the first min(m, n)
-// of them.
-func (b *rankBuf) topM(n, m int, rates []float64, less func(a, b int) bool) {
-	b.rank(n, less)
-	for i := range min(m, n) {
-		rates[b.idx[i]] = 1
-	}
-}
-
-// topMEnv is topM generalized to a heterogeneous machine environment: the
-// i-th ranked job runs on the i-th fastest machine (rate env.RankSpeed(i)
-// instead of 1). With identical unit machines it assigns exactly what topM
-// does.
+// topMEnv ranks jobs 0..n-1 by less and runs the i-th ranked job on the
+// i-th fastest machine: rate env.RankSpeed(i) for the first min(m, n) of
+// them — a full machine (rate 1) each on identical machines.
 func (b *rankBuf) topMEnv(n int, env *core.MachineEnv, rates []float64, less func(a, b int) bool) {
 	b.rank(n, less)
 	for i := range min(env.M, n) {
 		rates[b.idx[i]] = env.RankSpeed(i)
 	}
+}
+
+// propFill distributes env's capacity proportionally to weights: waterfill
+// over capacity min(m, n) with a one-machine cap per job on identical
+// machines, propFillEnv on uniform ones.
+func propFill(weights []float64, env *core.MachineEnv, rates []float64, buf *rankBuf) {
+	if env.Identical() {
+		waterfill(weights, math.Min(float64(env.M), float64(len(weights))), rates)
+		return
+	}
+	propFillEnv(weights, env, rates, buf)
 }
 
 // propFillEnv is the heterogeneous-machine proportional share: rates are

@@ -43,75 +43,13 @@ func (*SETF) Name() string { return "SETF" }
 // Clairvoyant implements core.Policy.
 func (*SETF) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (p *SETF) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	n := len(jobs)
-	if cap(p.idx) < n {
-		p.idx = make([]int, n)
-	}
-	p.idx = p.idx[:n]
-	for i := range p.idx {
-		p.idx[i] = i
-	}
-	sort.SliceStable(p.idx, func(x, y int) bool {
-		a, b := p.idx[x], p.idx[y]
-		if jobs[a].Elapsed != jobs[b].Elapsed {
-			return jobs[a].Elapsed < jobs[b].Elapsed
-		}
-		if jobs[a].Release != jobs[b].Release {
-			return jobs[a].Release < jobs[b].Release
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-
-	// Group by elapsed level and water-fill capacity m in elapsed order.
-	capLeft := float64(m)
-	groups := p.groups[:0]
-	for s := 0; s < n; {
-		e := jobs[p.idx[s]].Elapsed
-		t := s + 1
-		for t < n && sameElapsed(jobs[p.idx[t]].Elapsed, e) {
-			t++
-		}
-		g := float64(t - s)
-		alloc := math.Min(g, capLeft)
-		rate := alloc / g
-		for k := s; k < t; k++ {
-			rates[p.idx[k]] = rate
-		}
-		capLeft -= alloc
-		groups = append(groups, setfGroup{start: s, end: t, elapsed: e, rate: rate})
-		s = t
-	}
-	p.groups = groups // keep the grown backing for the next call
-
-	// Exact catch-up horizon: the first moment a group reaches the elapsed
-	// level of the next (slower) group.
-	horizon := math.Inf(1)
-	for i := 0; i+1 < len(groups); i++ {
-		dRate := groups[i].rate - groups[i+1].rate
-		if dRate <= 0 {
-			continue
-		}
-		gap := groups[i+1].elapsed - groups[i].elapsed
-		if h := gap / (dRate * speed); h < horizon {
-			horizon = h
-		}
-	}
-	if math.IsInf(horizon, 1) {
-		return core.NoHorizon
-	}
-	return horizon
-}
-
-// RatesEnv implements core.MachineAware: elapsed-level tiers fill the speed
-// profile fastest-machines-first — a tier of g jobs starting at fractional
-// machine offset x shares the profile capacity over [x, x+g) equally
+// Rates implements core.Policy: elapsed-level tiers fill the speed profile
+// fastest-machines-first — a tier of g jobs starting at fractional machine
+// offset x shares the profile capacity over [x, x+g) equally
 // (core.MachineEnv.ProfileIntegral). Concavity of the profile (speeds
-// descending) makes the resulting sorted-rate prefix sums feasible, and with
-// identical unit machines the allocation is exactly the identical path's
-// min(g, capLeft)/g.
-func (p *SETF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+// descending) makes the resulting sorted-rate prefix sums feasible; on
+// identical machines a tier gets min(g, capacity left)/g each.
+func (p *SETF) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	n := len(jobs)
 	if cap(p.idx) < n {
 		p.idx = make([]int, n)
@@ -149,8 +87,10 @@ func (p *SETF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, 
 		groups = append(groups, setfGroup{start: s, end: t, elapsed: e, rate: rate})
 		s = t
 	}
-	p.groups = groups
+	p.groups = groups // keep the grown backing for the next call
 
+	// Exact catch-up horizon: the first moment a group reaches the elapsed
+	// level of the next (slower) group.
 	horizon := math.Inf(1)
 	for i := 0; i+1 < len(groups); i++ {
 		dRate := groups[i].rate - groups[i+1].rate

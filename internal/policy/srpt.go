@@ -32,15 +32,9 @@ func srptLess(jobs []core.JobView) func(a, b int) bool {
 	}
 }
 
-// Rates implements core.Policy.
-func (p *SRPT) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.buf.topM(len(jobs), m, rates, srptLess(jobs))
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware: the k-th shortest job runs on the
-// k-th fastest machine.
-func (p *SRPT) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+// Rates implements core.Policy: the k-th shortest job runs on the k-th
+// fastest machine.
+func (p *SRPT) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	p.buf.topMEnv(len(jobs), env, rates, srptLess(jobs))
 	return core.NoHorizon
 }
@@ -74,13 +68,7 @@ func sjfLess(jobs []core.JobView) func(a, b int) bool {
 }
 
 // Rates implements core.Policy.
-func (p *SJF) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.buf.topM(len(jobs), m, rates, sjfLess(jobs))
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware.
-func (p *SJF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+func (p *SJF) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	p.buf.topMEnv(len(jobs), env, rates, sjfLess(jobs))
 	return core.NoHorizon
 }
@@ -110,17 +98,11 @@ func fcfsLess(jobs []core.JobView) func(a, b int) bool {
 	}
 }
 
-// Rates implements core.Policy.
-func (p *FCFS) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
+// Rates implements core.Policy: the k-th oldest job runs on the k-th
+// fastest machine.
+func (p *FCFS) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	// jobs arrive ordered by (Release, ID) already; keep the explicit
 	// comparator for robustness against future engine changes.
-	p.buf.topM(len(jobs), m, rates, fcfsLess(jobs))
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware: the k-th oldest job runs on the
-// k-th fastest machine.
-func (p *FCFS) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	p.buf.topMEnv(len(jobs), env, rates, fcfsLess(jobs))
 	return core.NoHorizon
 }

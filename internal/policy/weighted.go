@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"math"
-
-	"rrnorm/internal/core"
-)
+import "rrnorm/internal/core"
 
 // WSRPT is weighted SRPT: the m alive jobs with the smallest
 // remaining-work-to-weight ratio each get a full machine — the natural
@@ -37,13 +33,7 @@ func wsrptLess(jobs []core.JobView) func(a, b int) bool {
 }
 
 // Rates implements core.Policy.
-func (p *WSRPT) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.buf.topM(len(jobs), m, rates, wsrptLess(jobs))
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware.
-func (p *WSRPT) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+func (p *WSRPT) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	p.buf.topMEnv(len(jobs), env, rates, wsrptLess(jobs))
 	return core.NoHorizon
 }
@@ -77,13 +67,7 @@ func wsjfLess(jobs []core.JobView) func(a, b int) bool {
 }
 
 // Rates implements core.Policy.
-func (p *WSJF) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
-	p.buf.topM(len(jobs), m, rates, wsjfLess(jobs))
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware.
-func (p *WSJF) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
+func (p *WSJF) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	p.buf.topMEnv(len(jobs), env, rates, wsjfLess(jobs))
 	return core.NoHorizon
 }
@@ -107,8 +91,11 @@ func (*PropShare) Name() string { return "PROP" }
 // Clairvoyant implements core.Policy.
 func (*PropShare) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (p *PropShare) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
+// Rates implements core.Policy: on identical machines shares water-fill
+// capacity min(m, n) proportionally to weight, capped at one machine each
+// (waterfill); on uniform machines rates are the largest uniform
+// proportional scaling feasible on the speed profile (propFillEnv).
+func (p *PropShare) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	n := len(jobs)
 	if cap(p.weights) < n {
 		p.weights = make([]float64, n)
@@ -117,22 +104,7 @@ func (p *PropShare) Rates(now float64, jobs []core.JobView, m int, speed float64
 	for i, j := range jobs {
 		p.weights[i] = weightOf(j)
 	}
-	waterfill(p.weights, math.Min(float64(m), float64(n)), rates)
-	return core.NoHorizon
-}
-
-// RatesEnv implements core.MachineAware via the largest uniform
-// proportional scaling feasible on the speed profile (see propFillEnv).
-func (p *PropShare) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	n := len(jobs)
-	if cap(p.weights) < n {
-		p.weights = make([]float64, n)
-	}
-	p.weights = p.weights[:n]
-	for i, j := range jobs {
-		p.weights[i] = weightOf(j)
-	}
-	propFillEnv(p.weights, env, rates, &p.buf)
+	propFill(p.weights, env, rates, &p.buf)
 	return core.NoHorizon
 }
 

@@ -37,8 +37,10 @@ func (*WRR) Name() string { return "WRR" }
 // Clairvoyant implements core.Policy.
 func (*WRR) Clairvoyant() bool { return false }
 
-// Rates implements core.Policy.
-func (p *WRR) Rates(now float64, jobs []core.JobView, m int, speed float64, rates []float64) float64 {
+// Rates implements core.Policy: age-proportional shares (propFill — capped
+// water-filling on identical machines, the largest uniform scaling feasible
+// on the speed profile otherwise), re-planned on the drift-bounded quantum.
+func (p *WRR) Rates(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
 	n := len(jobs)
 	if cap(p.weights) < n {
 		p.weights = make([]float64, n)
@@ -51,38 +53,7 @@ func (p *WRR) Rates(now float64, jobs []core.JobView, m int, speed float64, rate
 			minAge = j.Age
 		}
 	}
-	waterfill(p.weights, math.Min(float64(m), float64(n)), rates)
-	q := p.Quantum
-	if q <= 0 {
-		q = 1e-3
-	}
-	drift := p.RelDrift
-	if drift <= 0 {
-		drift = 0.05
-	}
-	if h := drift * minAge; h > q {
-		return h
-	}
-	return q
-}
-
-// RatesEnv implements core.MachineAware: age-proportional shares via the
-// largest uniform scaling feasible on the speed profile (propFillEnv),
-// re-planned on the same drift-bounded quantum as the identical path.
-func (p *WRR) RatesEnv(now float64, jobs []core.JobView, env *core.MachineEnv, rates []float64) float64 {
-	n := len(jobs)
-	if cap(p.weights) < n {
-		p.weights = make([]float64, n)
-	}
-	p.weights = p.weights[:n]
-	minAge := math.Inf(1)
-	for i, j := range jobs {
-		p.weights[i] = j.Age
-		if j.Age < minAge {
-			minAge = j.Age
-		}
-	}
-	propFillEnv(p.weights, env, rates, &p.buf)
+	propFill(p.weights, env, rates, &p.buf)
 	q := p.Quantum
 	if q <= 0 {
 		q = 1e-3

@@ -43,13 +43,16 @@ type (
 	// Instance is a set of jobs.
 	Instance = core.Instance
 	// Options configures a simulation (machines, speed augmentation,
-	// segment recording).
+	// machine model, observer).
 	Options = core.Options
 	// Result is a simulated schedule with completions, flows and the rate
 	// timeline.
 	Result = core.Result
-	// Policy is the scheduling-policy interface; see internal/policy for
-	// the implementations and internal/core for the contract.
+	// Policy is the scheduling-policy interface: one Rates method that
+	// reads the run's machine environment (machine count, augmentation
+	// speed and, under a speed vector, the sorted speeds). See
+	// internal/policy for the implementations and internal/core for the
+	// contract.
 	Policy = core.Policy
 	// Certificate is the paper's dual-fitting certificate; see
 	// internal/dual.
@@ -94,7 +97,10 @@ func Simulate(in *Instance, policyName string, opts Options) (*Result, error) {
 }
 
 // SimulateWith runs a caller-provided policy (e.g. a custom core.Policy
-// implementation) on the instance, honoring opts.Engine.
+// implementation) on the instance, honoring opts.Engine. The policy's Rates
+// receives a core.MachineEnv for identical and uniform-speed machines
+// alike, so any Policy runs under any Options.MachineModel; custom
+// policies have no fast path and run on the reference engine.
 func SimulateWith(in *Instance, p Policy, opts Options) (*Result, error) {
 	return fast.Run(in, p, opts)
 }
