@@ -185,6 +185,10 @@ func benchSmokeMedians(t *testing.T, in *core.Instance, p core.Policy, opts core
 // only 2.3–2.4× (medians of 9, three runs): there the alive set rarely
 // exceeds the two machines, so each reference step sorts one or two jobs,
 // and the 2.0× floor would flake.
+//
+// Every leg takes the medians of 9 alternating fast/reference runs: the
+// RR-hetero leg sits at 2.0–2.5× on a loaded 2-vCPU host and read 1.90×
+// once in four full-suite runs at medians of 5.
 func TestBenchSmokeRatchet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ratchet times n=1e6 runs; skipped under -short")
@@ -205,7 +209,7 @@ func TestBenchSmokeRatchet(t *testing.T) {
 		{"SRPT-hetero speeds=[1 1 1 1 2 2 4 4]", pareto, policy.NewSRPT(), core.Options{Machines: len(speeds8), Speed: 1, Engine: core.EngineFast,
 			MachineModel: core.Machines{Speeds: speeds8}}},
 	} {
-		fastRun, reference := benchSmokeMedians(t, tc.in, tc.pol, tc.opts, ws, 5)
+		fastRun, reference := benchSmokeMedians(t, tc.in, tc.pol, tc.opts, ws, 9)
 		vsRef := float64(reference) / float64(fastRun)
 		t.Logf("%s n=%d: fast %v, reference %v (%.2fx)", tc.name, n, fastRun, reference, vsRef)
 		if vsRef < 2.0 {

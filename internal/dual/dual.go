@@ -94,6 +94,8 @@ type Certificate struct {
 	// ImpliedPowerRatio bounds Σ F^k ≤ ImpliedPowerRatio · OPT^k when
 	// Feasible (= 2γ / ObjectiveFraction); ImpliedNormRatio is its k-th
 	// root, the ℓk-norm competitive ratio certified for this instance.
+	// Both are +Inf when nothing is certified, and 0 when Σ F^k = 0 (no
+	// jobs, or every job completes at its release).
 	ImpliedPowerRatio float64
 	ImpliedNormRatio  float64
 }
@@ -222,10 +224,17 @@ func finishCertificate(res *core.Result, k int, eps float64, alpha []float64) *C
 	c.MaxViolation = worst
 	c.Feasible = worst <= 1e-9
 
-	if c.Feasible && c.ObjectiveFraction > 0 {
+	switch {
+	case c.Feasible && c.RRPower == 0:
+		// Every flow is zero — each job completed at its release, as when
+		// float64 time cannot advance past it. Σ F^k = 0 is within any
+		// multiple of OPT^k, so the ratios stay 0 as for an empty instance
+		// rather than +Inf, which would turn the bound ratio·OPT^k into
+		// ∞·0 = NaN downstream.
+	case c.Feasible && c.ObjectiveFraction > 0:
 		c.ImpliedPowerRatio = 2 * c.Gamma / c.ObjectiveFraction
 		c.ImpliedNormRatio = math.Pow(c.ImpliedPowerRatio, 1/float64(k))
-	} else {
+	default:
 		c.ImpliedPowerRatio = math.Inf(1)
 		c.ImpliedNormRatio = math.Inf(1)
 	}
